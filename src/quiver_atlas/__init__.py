@@ -7,6 +7,7 @@ from .canonical import QuiverKey, canonical_form, canonical_key, is_isomorphic
 from .correspondence import (
     CorrespondenceRow,
     classify_cell,
+    name_finite_mutation_type,
     reference_registry,
 )
 from .explore import (
@@ -14,7 +15,6 @@ from .explore import (
     Classification,
     MutationClassReport,
     explore,
-    name_finite_mutation_type,
     name_finite_type,
     replay,
 )
@@ -45,12 +45,12 @@ __all__ = [
     "is_isomorphic",
     "CorrespondenceRow",
     "classify_cell",
+    "name_finite_mutation_type",
     "reference_registry",
     "DEFAULT_CAP",
     "Classification",
     "MutationClassReport",
     "explore",
-    "name_finite_mutation_type",
     "name_finite_type",
     "replay",
     "GrassmannianSpec",

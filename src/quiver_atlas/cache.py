@@ -5,7 +5,8 @@ key bytes (keys themselves can exceed filename limits at large rank).  Each
 file stores the schema version, the start key in lowercase hex, the cap the
 report was computed at, the report, and the sorted member keys when the
 class was fully enumerated.  Corrupt files are ignored with a warning and
-the report is recomputed.
+the report is recomputed.  :func:`make_explorer` puts a per-run memo in
+front of the cache, so each class is explored at most once per run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .explore import (
     DEFAULT_CAP,
     Classification,
     MutationClassReport,
+    class_fingerprint,
     explore,
     report_from_dict,
     report_to_dict,
@@ -68,12 +70,22 @@ def store_report(
     return path
 
 
+def _reusable(report: MutationClassReport, report_cap: int, cap: int) -> bool:
+    """Whether a report computed at ``report_cap`` answers a call at ``cap``:
+    an inconclusive one does not when the larger cap may resolve the class."""
+    return not (
+        report.classification is Classification.INCONCLUSIVE
+        and report_cap < cap
+    )
+
+
 def load_report(
     cache_dir: Path, key: QuiverKey, cap: int
 ) -> MutationClassReport | None:
     """Load a cached report, or None on miss / cap-incompatible entry.
 
-    Raises CacheCorrupt on unreadable or inconsistent files.
+    Raises CacheCorrupt on unreadable or inconsistent files, including a
+    class size or fingerprint that does not match the stored member keys.
     """
     path = cache_path(cache_dir, key)
     if not path.exists():
@@ -85,64 +97,56 @@ def load_report(
         if payload["start_key"] != key.hex():
             raise CacheCorrupt(f"start key mismatch in {path}")
         report = report_from_dict(payload["report"], payload["member_keys"])
+        keys = report.member_keys
+        expected = (None, None) if keys is None else (
+            len(keys), class_fingerprint(keys)
+        )
+        if (report.class_size, report.fingerprint) != expected:
+            raise CacheCorrupt(f"class size or fingerprint mismatch in {path}")
     except CacheCorrupt:
         raise
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CacheCorrupt(f"unreadable cache file {path}: {e}") from e
-    if (
-        report.classification is Classification.INCONCLUSIVE
-        and payload["cap"] < cap
-    ):
-        return None  # a larger cap may resolve the class
-    return report
+    return report if _reusable(report, payload["cap"], cap) else None
 
 
-def explore_cached(
-    start: ExchangeMatrix,
-    cap: int = DEFAULT_CAP,
-    registry: dict[str, str] | None = None,
-    cache_dir: Path | None = None,
-) -> MutationClassReport:
-    """explore() backed by the on-disk cache.
+def make_explorer(cache_dir: Path | None = None):
+    """One run's explorer, called as ``explorer(start, cap)`` like explore().
 
-    The cache entry is computed from the canonical representative of the
-    starting quiver, so isomorphic starts share one byte-identical file and
-    the result never depends on which labeling got explored first.  The
-    witness in the returned report is translated back into the caller's
-    vertex labels.  Finite-mutation-type names are resolved from ``registry``
-    at load time so a cached report is field-for-field identical to a
-    recomputed one.
+    Each call explores the canonical relabelling of ``start``, so isomorphic
+    starts share one report and the result never depends on which labelling
+    came first.  A report is looked up in the run's memo, then in the
+    on-disk cache under ``cache_dir`` (when given), and computed only on a
+    miss; its witness is translated back into the caller's vertex labels.
+    The memo lives as long as the returned function.
     """
-    if cache_dir is None:
-        return explore(start, cap, registry)
-    key, perm = canonical_form(start)
-    try:
-        report = load_report(cache_dir, key, cap)
-    except CacheCorrupt as e:
-        log.warning("ignoring corrupt cache entry: %s", e)
-        report = None
-    if report is None:
-        report = explore(start.permuted(perm), cap, None)
-        store_report(cache_dir, key, report, cap)
-    if report.infinite_witness:
-        # perm maps caller label -> canonical label; invert it
-        inverse = [0] * len(perm)
-        for old, new in enumerate(perm):
-            inverse[new] = old
-        report = dataclasses.replace(
-            report,
-            infinite_witness=tuple(
-                inverse[v] for v in report.infinite_witness
-            ),
-        )
-    if (
-        report.classification is Classification.FINITE_MUTATION_TYPE
-        and registry is not None
-        and report.fingerprint is not None
-    ):
-        from .explore import UNNAMED_FINITE_MUTATION
+    memo: dict[bytes, tuple[MutationClassReport, int]] = {}
 
-        name = registry.get(report.fingerprint, UNNAMED_FINITE_MUTATION)
-        if name != report.type_name:
-            report = dataclasses.replace(report, type_name=name)
-    return report
+    def explorer(
+        start: ExchangeMatrix, cap: int = DEFAULT_CAP
+    ) -> MutationClassReport:
+        key, perm = canonical_form(start)
+        entry = memo.get(key.data)
+        if entry is None or not _reusable(*entry, cap):
+            report = None
+            if cache_dir is not None:
+                try:
+                    report = load_report(cache_dir, key, cap)
+                except CacheCorrupt as e:
+                    log.warning("ignoring corrupt cache entry: %s", e)
+            if report is None:
+                report = explore(start.permuted(perm), cap)
+                if cache_dir is not None:
+                    store_report(cache_dir, key, report, cap)
+            entry = memo[key.data] = (report, cap)
+        report = entry[0]
+        if not report.infinite_witness:
+            return report
+        # perm maps caller label -> canonical label; invert it
+        caller = {new: old for old, new in enumerate(perm)}
+        return dataclasses.replace(
+            report,
+            infinite_witness=tuple(caller[v] for v in report.infinite_witness),
+        )
+
+    return explorer

@@ -10,6 +10,7 @@ classification mismatch, 3 when any exploration was inconclusive.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import sys
@@ -18,10 +19,10 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cache import default_cache_dir, explore_cached
+from .cache import default_cache_dir, make_explorer
 from .canonical import canonical_form, canonical_key, is_isomorphic
-from .correspondence import classify_cell, reference_registry
-from .explore import DEFAULT_CAP, Classification, explore
+from .correspondence import classify_cell, registry_for
+from .explore import DEFAULT_CAP, Classification, report_to_dict
 from .grassmannian import GrassmannianSpec, initial_quiver
 from .matrix import ExchangeMatrix
 from .render import render_rows, row_to_dict
@@ -49,18 +50,10 @@ def _resolve_cache(cache_dir, no_cache):
     return Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
 
-def _explorer(cache_dir):
-    if cache_dir is None:
-        return None
-
-    def explorer(start, cap=DEFAULT_CAP, registry=None):
-        return explore_cached(start, cap, registry, cache_dir=cache_dir)
-
-    return explorer
-
-
-def _needs_registry(p, q):
-    return (p - 2) * (q - 2) == 4
+def _classify(p, q, cap, cache_dir):
+    explorer = make_explorer(cache_dir)
+    registry = registry_for([(p, q)], cap, explorer)
+    return classify_cell(p, q, cap=cap, registry=registry, explorer=explorer)
 
 
 @click.group()
@@ -83,12 +76,7 @@ def main():
 @_cache_opts
 def classify(p, q, cap, fmt, cache_dir, no_cache):
     """Classify one cell on both sides and report whether they agree."""
-    cache = _resolve_cache(cache_dir, no_cache)
-    explorer = _explorer(cache)
-    registry = (
-        reference_registry(cap, explorer=explorer) if _needs_registry(p, q) else None
-    )
-    row = classify_cell(p, q, cap=cap, registry=registry, explorer=explorer)
+    row = _classify(p, q, cap, _resolve_cache(cache_dir, no_cache))
     click.echo(render_rows([row_to_dict(row)], fmt), nl=False)
     if row.cluster.classification is Classification.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -159,18 +147,8 @@ def quiver(p, q, fmt):
 @_cache_opts
 def explore_cmd(p, q, cap, cache_dir, no_cache):
     """Enumerate the mutation class of the Gr(p, p+q) initial quiver."""
-    cache = _resolve_cache(cache_dir, no_cache)
-    explorer = _explorer(cache) or explore
-    registry = (
-        reference_registry(cap, explorer=explorer) if _needs_registry(p, q) else None
-    )
-    start = initial_quiver(GrassmannianSpec(p, q))
-    report = explorer(start, cap, registry)
-    import json as _json
-
-    from .explore import report_to_dict
-
-    click.echo(_json.dumps(report_to_dict(report), sort_keys=True, indent=1))
+    report = _classify(p, q, cap, _resolve_cache(cache_dir, no_cache)).cluster
+    click.echo(json.dumps(report_to_dict(report), sort_keys=True, indent=1))
     if report.classification is Classification.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)
 

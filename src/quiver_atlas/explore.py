@@ -23,8 +23,6 @@ from .matrix import ExchangeMatrix, QuiverError
 
 DEFAULT_CAP = 10**6
 
-UNNAMED_FINITE_MUTATION = "unnamed-finite-mutation"
-
 
 class CapZero(QuiverError):
     """Raised when explore() is called with cap < 1."""
@@ -145,18 +143,13 @@ def class_fingerprint(member_keys) -> str:
     return h.hexdigest()
 
 
-def explore(
-    start: ExchangeMatrix,
-    cap: int = DEFAULT_CAP,
-    registry: dict[str, str] | None = None,
-) -> MutationClassReport:
+def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassReport:
     """Enumerate the mutation class of ``start`` up to isomorphism.
 
     ``cap`` bounds the number of canonical forms visited; hitting it without
     an infinite-type witness yields Inconclusive (never an exception).
-    ``registry`` maps class fingerprints to names for finite-mutation-type
-    classes; when given, unknown fingerprints are named
-    ``unnamed-finite-mutation``.
+    Finite-type classes are named A/D/E here; finite-mutation-type classes
+    are left unnamed (see :func:`quiver_atlas.correspondence.classify_cell`).
     """
     if cap < 1:
         raise CapZero("exploration cap must be >= 1")
@@ -242,8 +235,6 @@ def explore(
     else:
         classification = Classification.FINITE_MUTATION_TYPE
         type_name = None
-        if registry is not None:
-            type_name = registry.get(fingerprint, UNNAMED_FINITE_MUTATION)
     return MutationClassReport(
         classification=classification,
         class_size=len(seen),
@@ -320,15 +311,6 @@ def name_finite_type(members) -> str:
             "no class member is a tree of A/D/E shape"
         )
     return name
-
-
-def name_finite_mutation_type(
-    report: MutationClassReport, registry: dict[str, str]
-) -> str:
-    """Look up a finite-mutation-type class in a reference registry."""
-    if report.fingerprint is None:
-        return UNNAMED_FINITE_MUTATION
-    return registry.get(report.fingerprint, UNNAMED_FINITE_MUTATION)
 
 
 def report_to_dict(report: MutationClassReport) -> dict:

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from .correspondence import (
-    CorrespondenceRow,
-    classify_cell,
-    reference_registry,
-)
+from .cache import make_explorer
+from .correspondence import CorrespondenceRow, classify_cell, registry_for
 from .explore import DEFAULT_CAP, Classification
-from .grassmannian import GrassmannianSpec, expected_classification, expected_type_name
+from .grassmannian import (
+    GrassmannianSpec,
+    expected_classification,
+    expected_type_name,
+    initial_quiver,
+)
 from .tiling import (
     GeometryClass,
     SchlafliSymbol,
@@ -50,19 +52,11 @@ EXPECTED_SPHERICAL = {
 }
 
 
-def _cache_explorer(cache_dir):
-    from .cache import explore_cached
-
-    def explorer(start, cap=DEFAULT_CAP, registry=None):
-        return explore_cached(start, cap, registry, cache_dir=cache_dir)
-
-    return explorer
-
-
 def _cell_job(args):
     p, q, cap, registry, cache_dir = args
-    explorer = _cache_explorer(cache_dir) if cache_dir is not None else None
-    return classify_cell(p, q, cap=cap, registry=registry, explorer=explorer)
+    return classify_cell(
+        p, q, cap=cap, registry=registry, explorer=make_explorer(cache_dir)
+    )
 
 
 def compute_grid(
@@ -70,29 +64,21 @@ def compute_grid(
     qmax: int,
     cap: int = DEFAULT_CAP,
     workers: int = 1,
-    explorer=None,
     cache_dir=None,
 ) -> dict[tuple[int, int], CorrespondenceRow]:
     """Classify every cell 2 <= p <= pmax, 2 <= q <= qmax.
 
-    ``explorer`` overrides the explore function in-process (single worker);
-    ``cache_dir`` enables the on-disk cache and also works across workers.
+    Each class is explored once per run (once per cell job with several
+    workers); ``cache_dir`` adds the on-disk cache, shared across workers
+    and runs.
     """
-    if explorer is None and cache_dir is not None:
-        explorer = _cache_explorer(cache_dir)
-    need_registry = any(
-        (p - 2) * (q - 2) == 4
-        for p in range(2, pmax + 1)
-        for q in range(2, qmax + 1)
-    )
-    registry = (
-        reference_registry(cap, explorer=explorer) if need_registry else None
-    )
     cells = [
         (p, q)
         for p in range(2, pmax + 1)
         for q in range(2, qmax + 1)
     ]
+    explorer = make_explorer(cache_dir)
+    registry = registry_for(cells, cap, explorer)
     rows: dict[tuple[int, int], CorrespondenceRow] = {}
     if workers > 1:
         jobs = [(p, q, cap, registry, cache_dir) for p, q in cells]
@@ -226,10 +212,22 @@ def check_summary_table(rows):
 
 
 def check_duality(rows, pmax: int = 12, qmax: int = 12):
-    """Invariance of every classification under p <-> q."""
+    """Invariance of every classification under p <-> q.
+
+    The cluster side is also checked below the classification: the
+    transpose relabelling v(i, j) -> v(j, i) maps the grid quiver of (p, q)
+    exactly onto that of (q, p) (checked for p <= q; its inverse is the
+    transpose the other way).
+    """
     bad = []
     for p in range(2, pmax + 1):
         for q in range(2, qmax + 1):
+            spec = GrassmannianSpec(p, q)
+            transpose = [j * (p - 1) + i for i in range(p - 1) for j in range(q - 1)]
+            if p <= q and initial_quiver(spec).permuted(
+                transpose
+            ) != initial_quiver(spec.dual):
+                bad.append(f"transpose ({p},{q})")
             a, b = rows[(p, q)], rows[(q, p)]
             if (
                 a.cluster.classification is not b.cluster.classification
@@ -307,15 +305,12 @@ def check_spherical_data():
 def run_verification(
     cap: int = DEFAULT_CAP,
     workers: int = 1,
-    explorer=None,
     cache_dir=None,
     pmax: int = 12,
     qmax: int = 12,
 ) -> list[tuple[str, bool, str]]:
     """Run every reproduction check; returns (name, passed, detail) triples."""
-    rows = compute_grid(
-        pmax, qmax, cap=cap, workers=workers, explorer=explorer, cache_dir=cache_dir
-    )
+    rows = compute_grid(pmax, qmax, cap=cap, workers=workers, cache_dir=cache_dir)
     return [
         check_table1(rows),
         check_table2(),

@@ -1,14 +1,5 @@
-import dataclasses
-
 import pytest
 
-from quiver_atlas.canonical import canonical_key
-from quiver_atlas.explore import (
-    DEFAULT_CAP,
-    Classification,
-    UNNAMED_FINITE_MUTATION,
-    explore,
-)
 from quiver_atlas.verify import compute_grid
 
 # Class sizes pinned by the independent oracles (n!-dedup BFS for small rank,
@@ -23,35 +14,16 @@ GOLDEN_CLASS_SIZES = {
 
 
 @pytest.fixture(scope="session")
-def memo_explore():
-    """explore() memoized by canonical start key, shared across the session."""
-    cache: dict = {}
-
-    def explorer(start, cap=DEFAULT_CAP, registry=None):
-        key = (canonical_key(start).hex(), cap)
-        if key not in cache:
-            cache[key] = explore(start, cap, None)
-        report = cache[key]
-        if (
-            registry is not None
-            and report.classification is Classification.FINITE_MUTATION_TYPE
-        ):
-            report = dataclasses.replace(
-                report,
-                type_name=registry.get(
-                    report.fingerprint, UNNAMED_FINITE_MUTATION
-                ),
-            )
-        return report
-
-    return explorer
+def grid_cache(tmp_path_factory):
+    """One on-disk class cache shared by the session's grid fixtures."""
+    return tmp_path_factory.mktemp("atlas-cache")
 
 
 @pytest.fixture(scope="session")
-def grid7(memo_explore):
-    return compute_grid(7, 7, explorer=memo_explore)
+def grid7(grid_cache):
+    return compute_grid(7, 7, cache_dir=grid_cache)
 
 
 @pytest.fixture(scope="session")
-def grid12(memo_explore):
-    return compute_grid(12, 12, explorer=memo_explore)
+def grid12(grid_cache):
+    return compute_grid(12, 12, cache_dir=grid_cache)

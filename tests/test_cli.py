@@ -6,7 +6,8 @@ from click.testing import CliRunner
 import quiver_atlas.cli as cli_mod
 from quiver_atlas.cli import main
 from quiver_atlas.correspondence import CorrespondenceRow
-from quiver_atlas.explore import Classification, MutationClassReport
+from quiver_atlas.explore import Classification, MutationClassReport, replay
+from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
 from quiver_atlas.tiling import SchlafliSymbol, tiling_report
 
 
@@ -152,6 +153,39 @@ def test_corrupt_cache_recomputes(runner, tmp_path):
     second = runner.invoke(main, args)
     assert second.exit_code == 0
     assert first.output == second.output
+
+
+def test_tampered_cache_entry_recomputes(runner, tmp_path):
+    args = ["explore", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)]
+    first = runner.invoke(main, args)
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    payload["report"]["class_size"] += 1
+    path.write_text(json.dumps(payload))
+    second = runner.invoke(main, args)
+    assert second.exit_code == 0
+    assert first.output == second.output
+    assert json.loads(path.read_text())["report"]["class_size"] == 6
+
+
+def _has_heavy_component(m):
+    return any(
+        len(comp) >= 3
+        and any(abs(m.rows[i][j]) >= 3 for i in comp for j in comp)
+        for comp in m.components()
+    )
+
+
+def test_explore_cache_flags_agree(runner, tmp_path):
+    base = ["explore", "--p", "5", "--q", "4"]
+    uncached = runner.invoke(main, base + ["--no-cache"])
+    cold = runner.invoke(main, base + ["--cache-dir", str(tmp_path)])
+    warm = runner.invoke(main, base + ["--cache-dir", str(tmp_path)])
+    assert uncached.exit_code == 0, uncached.output
+    assert uncached.output == cold.output == warm.output
+    witness = json.loads(uncached.output)["infinite_witness"]
+    start = initial_quiver(GrassmannianSpec(5, 4))
+    assert _has_heavy_component(replay(start, witness))
 
 
 def test_explore_red_cell_has_witness(runner):

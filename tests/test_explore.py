@@ -2,14 +2,16 @@ import random
 
 import pytest
 
+from quiver_atlas.correspondence import (
+    UNNAMED_FINITE_MUTATION,
+    name_finite_mutation_type,
+)
 from quiver_atlas.explore import (
     CapZero,
     Classification,
     NoTreeRepresentative,
-    UNNAMED_FINITE_MUTATION,
     class_fingerprint,
     explore,
-    name_finite_mutation_type,
     name_finite_type,
     replay,
 )

@@ -8,7 +8,6 @@ from .correspondence import (
     CorrespondenceRow,
     classify_cell,
     name_finite_mutation_type,
-    reference_registry,
 )
 from .explore import (
     DEFAULT_CAP,
@@ -46,7 +45,6 @@ __all__ = [
     "CorrespondenceRow",
     "classify_cell",
     "name_finite_mutation_type",
-    "reference_registry",
     "DEFAULT_CAP",
     "Classification",
     "MutationClassReport",

@@ -15,7 +15,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 from .canonical import QuiverKey, canonical_form
@@ -64,7 +67,9 @@ def store_report(
             list(report.member_keys) if report.member_keys is not None else None
         ),
     }
-    tmp = path.with_suffix(".tmp")
+    # per-process name: runs sharing the directory never touch each
+    # other's half-written file
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     tmp.replace(path)
     return path
@@ -119,27 +124,43 @@ def make_explorer(cache_dir: Path | None = None):
     on-disk cache under ``cache_dir`` (when given), and computed only on a
     miss; its witness is translated back into the caller's vertex labels.
     The memo lives as long as the returned function.
+
+    ``explorer.explore_missing(starts, cap, workers)`` fills the memo ahead
+    of such calls: it explores each distinct class of ``starts`` that the
+    memo and the disk cache cannot answer at ``cap``, in a pool of
+    ``workers`` processes, and records the reports in the calling process.
     """
     memo: dict[bytes, tuple[MutationClassReport, int]] = {}
+
+    def known(key: QuiverKey, cap: int) -> MutationClassReport | None:
+        entry = memo.get(key.data)
+        if entry is not None and _reusable(*entry, cap):
+            return entry[0]
+        report = None
+        if cache_dir is not None:
+            try:
+                report = load_report(cache_dir, key, cap)
+            except CacheCorrupt as e:
+                log.warning("ignoring corrupt cache entry: %s", e)
+        if report is not None:
+            memo[key.data] = (report, cap)
+        return report
+
+    def record(
+        key: QuiverKey, report: MutationClassReport, cap: int
+    ) -> MutationClassReport:
+        memo[key.data] = (report, cap)
+        if cache_dir is not None:
+            store_report(cache_dir, key, report, cap)
+        return report
 
     def explorer(
         start: ExchangeMatrix, cap: int = DEFAULT_CAP
     ) -> MutationClassReport:
         key, perm = canonical_form(start)
-        entry = memo.get(key.data)
-        if entry is None or not _reusable(*entry, cap):
-            report = None
-            if cache_dir is not None:
-                try:
-                    report = load_report(cache_dir, key, cap)
-                except CacheCorrupt as e:
-                    log.warning("ignoring corrupt cache entry: %s", e)
-            if report is None:
-                report = explore(start.permuted(perm), cap)
-                if cache_dir is not None:
-                    store_report(cache_dir, key, report, cap)
-            entry = memo[key.data] = (report, cap)
-        report = entry[0]
+        report = known(key, cap)
+        if report is None:
+            report = record(key, explore(start.permuted(perm), cap), cap)
         if not report.infinite_witness:
             return report
         # perm maps caller label -> canonical label; invert it
@@ -149,4 +170,20 @@ def make_explorer(cache_dir: Path | None = None):
             infinite_witness=tuple(caller[v] for v in report.infinite_witness),
         )
 
+    def explore_missing(starts, cap: int, workers: int) -> None:
+        missing: dict[bytes, tuple[QuiverKey, ExchangeMatrix]] = {}
+        for start in starts:
+            key, perm = canonical_form(start)
+            if key.data not in missing and known(key, cap) is None:
+                missing[key.data] = (key, start.permuted(perm))
+        if not missing:
+            return
+        keys, canonical_starts = zip(*missing.values())
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            reports = pool.map(explore, canonical_starts, repeat(cap))
+            for key, report in zip(keys, reports):
+                record(key, report, cap)
+
+    explorer.explore_missing = explore_missing
     return explorer

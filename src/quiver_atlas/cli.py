@@ -21,7 +21,7 @@ import click
 from . import __version__
 from .cache import default_cache_dir, make_explorer
 from .canonical import canonical_form, canonical_key, is_isomorphic
-from .correspondence import classify_cell, registry_for
+from .correspondence import classify_cell
 from .explore import DEFAULT_CAP, Classification, report_to_dict
 from .grassmannian import GrassmannianSpec, initial_quiver
 from .matrix import ExchangeMatrix
@@ -50,12 +50,6 @@ def _resolve_cache(cache_dir, no_cache):
     return Path(cache_dir) if cache_dir is not None else default_cache_dir()
 
 
-def _classify(p, q, cap, cache_dir):
-    explorer = make_explorer(cache_dir)
-    registry = registry_for([(p, q)], cap, explorer)
-    return classify_cell(p, q, cap=cap, registry=registry, explorer=explorer)
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -76,7 +70,8 @@ def main():
 @_cache_opts
 def classify(p, q, cap, fmt, cache_dir, no_cache):
     """Classify one cell on both sides and report whether they agree."""
-    row = _classify(p, q, cap, _resolve_cache(cache_dir, no_cache))
+    explorer = make_explorer(_resolve_cache(cache_dir, no_cache))
+    row = classify_cell(p, q, cap=cap, explorer=explorer)
     click.echo(render_rows([row_to_dict(row)], fmt), nl=False)
     if row.cluster.classification is Classification.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -92,7 +87,7 @@ def classify(p, q, cap, fmt, cache_dir, no_cache):
     "--workers",
     type=click.IntRange(min=1),
     default=lambda: os.cpu_count() or 1,
-    help="Parallel per-cell jobs (default: available parallelism).",
+    help="Processes that explore distinct classes (default: available parallelism).",
 )
 @click.option(
     "--format",
@@ -147,7 +142,8 @@ def quiver(p, q, fmt):
 @_cache_opts
 def explore_cmd(p, q, cap, cache_dir, no_cache):
     """Enumerate the mutation class of the Gr(p, p+q) initial quiver."""
-    report = _classify(p, q, cap, _resolve_cache(cache_dir, no_cache)).cluster
+    explorer = make_explorer(_resolve_cache(cache_dir, no_cache))
+    report = classify_cell(p, q, cap=cap, explorer=explorer).cluster
     click.echo(json.dumps(report_to_dict(report), sort_keys=True, indent=1))
     if report.classification is Classification.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -159,7 +155,7 @@ def explore_cmd(p, q, cap, cache_dir, no_cache):
     "--workers",
     type=click.IntRange(min=1),
     default=lambda: os.cpu_count() or 1,
-    help="Parallel per-cell jobs (default: available parallelism).",
+    help="Processes that explore distinct classes (default: available parallelism).",
 )
 @_cache_opts
 def verify(cap, workers, cache_dir, no_cache):

@@ -7,8 +7,10 @@ finite mutation type <-> planar, infinite mutation type <-> hyperbolic.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 
 from .cache import make_explorer
+from .canonical import canonical_key
 from .explore import DEFAULT_CAP, Classification, MutationClassReport
 from .grassmannian import GrassmannianSpec, initial_quiver
 from .tiling import GeometryClass, SchlafliSymbol, TilingReport, tiling_report
@@ -19,7 +21,8 @@ CATEGORY_MAP = {
     Classification.INFINITE_MUTATION_TYPE: GeometryClass.HYPERBOLIC,
 }
 
-REGISTRY_ANCHORS = {
+# Known assignments class(Gr(4,8)) = E7(1,1) and class(Gr(3,9)) = E8(1,1).
+NAMED_ANCHORS = {
     (4, 4): "E7(1,1)",
     (3, 6): "E8(1,1)",
 }
@@ -43,70 +46,47 @@ def categories_match(
     return CATEGORY_MAP.get(classification) is geometry
 
 
-def reference_registry(cap: int = DEFAULT_CAP, explorer=None) -> dict[str, str]:
-    """Fingerprint -> name registry for finite-mutation-type classes.
+@cache
+def _anchor_names() -> dict[str, str]:
+    return {
+        canonical_key(initial_quiver(GrassmannianSpec(p, q))).hex(): name
+        for (p, q), name in NAMED_ANCHORS.items()
+    }
 
-    Anchored to the known assignments class(Gr(4,8)) = E7(1,1) and
-    class(Gr(3,9)) = E8(1,1); built by exploring those two classes.
+
+def name_finite_mutation_type(report: MutationClassReport) -> str:
+    """Name a finite-mutation-type class by the grid anchor it contains.
+
+    Mutation classes partition quivers, so a fully enumerated class is
+    E7(1,1) or E8(1,1) exactly when the canonical key of the Gr(4,8) or
+    Gr(3,9) grid quiver is among its member keys.
     """
-    if explorer is None:
-        explorer = make_explorer()
-    registry = {}
-    for (p, q), name in REGISTRY_ANCHORS.items():
-        report = explorer(initial_quiver(GrassmannianSpec(p, q)), cap)
-        if report.fingerprint is None:
-            raise RuntimeError(
-                f"registry anchor Gr({p},{p + q}) did not enumerate "
-                f"(classification {report.classification.value})"
-            )
-        registry[report.fingerprint] = name
-    return registry
-
-
-def registry_for(cells, cap: int = DEFAULT_CAP, explorer=None):
-    """The reference registry if some (p, q) cell is planar, else None.
-
-    Only planar cells, (p-2)(q-2) = 4, have finite-mutation-type classes.
-    """
-    if any((p - 2) * (q - 2) == 4 for p, q in cells):
-        return reference_registry(cap, explorer)
-    return None
-
-
-def name_finite_mutation_type(
-    report: MutationClassReport, registry: dict[str, str]
-) -> str:
-    """Look up a finite-mutation-type class in a reference registry."""
-    if report.fingerprint is None:
-        return UNNAMED_FINITE_MUTATION
-    return registry.get(report.fingerprint, UNNAMED_FINITE_MUTATION)
+    members = report.member_keys or ()
+    for key, name in _anchor_names().items():
+        if key in members:
+            return name
+    return UNNAMED_FINITE_MUTATION
 
 
 def classify_cell(
     p: int,
     q: int,
     cap: int = DEFAULT_CAP,
-    registry: dict[str, str] | None = None,
     explorer=None,
 ) -> CorrespondenceRow:
     """Run both classifications for one (p, q) cell.
 
     ``explorer`` is a :func:`quiver_atlas.cache.make_explorer` explorer, or
     any function called as ``explorer(start, cap)`` like explore(); a fresh
-    one without a disk cache is used when omitted.  With ``registry``,
-    finite-mutation-type classes are named from it.
+    one without a disk cache is used when omitted.  Finite-mutation-type
+    classes are named by :func:`name_finite_mutation_type`.
     """
     if explorer is None:
         explorer = make_explorer()
     spec = GrassmannianSpec(p, q)
     cluster = explorer(initial_quiver(spec), cap)
-    if (
-        registry is not None
-        and cluster.classification is Classification.FINITE_MUTATION_TYPE
-    ):
-        cluster = replace(
-            cluster, type_name=name_finite_mutation_type(cluster, registry)
-        )
+    if cluster.classification is Classification.FINITE_MUTATION_TYPE:
+        cluster = replace(cluster, type_name=name_finite_mutation_type(cluster))
     tiling = tiling_report(SchlafliSymbol(p, q))
     return CorrespondenceRow(
         p=p,

@@ -7,10 +7,8 @@ the acceptance test suite both drive these.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .cache import make_explorer
-from .correspondence import CorrespondenceRow, classify_cell, registry_for
+from .correspondence import CorrespondenceRow, classify_cell
 from .explore import DEFAULT_CAP, Classification
 from .grassmannian import (
     GrassmannianSpec,
@@ -52,13 +50,6 @@ EXPECTED_SPHERICAL = {
 }
 
 
-def _cell_job(args):
-    p, q, cap, registry, cache_dir = args
-    return classify_cell(
-        p, q, cap=cap, registry=registry, explorer=make_explorer(cache_dir)
-    )
-
-
 def compute_grid(
     pmax: int,
     qmax: int,
@@ -68,9 +59,9 @@ def compute_grid(
 ) -> dict[tuple[int, int], CorrespondenceRow]:
     """Classify every cell 2 <= p <= pmax, 2 <= q <= qmax.
 
-    Each class is explored once per run (once per cell job with several
-    workers); ``cache_dir`` adds the on-disk cache, shared across workers
-    and runs.
+    Each class is explored once per run; with ``workers`` > 1 the distinct
+    classes that are not cached yet are explored in that many processes
+    first.  ``cache_dir`` adds the on-disk cache, shared across runs.
     """
     cells = [
         (p, q)
@@ -78,19 +69,13 @@ def compute_grid(
         for q in range(2, qmax + 1)
     ]
     explorer = make_explorer(cache_dir)
-    registry = registry_for(cells, cap, explorer)
-    rows: dict[tuple[int, int], CorrespondenceRow] = {}
     if workers > 1:
-        jobs = [(p, q, cap, registry, cache_dir) for p, q in cells]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for (p, q), row in zip(cells, pool.map(_cell_job, jobs)):
-                rows[(p, q)] = row
-    else:
-        for p, q in cells:
-            rows[(p, q)] = classify_cell(
-                p, q, cap=cap, registry=registry, explorer=explorer
-            )
-    return rows
+        starts = [initial_quiver(GrassmannianSpec(p, q)) for p, q in cells]
+        explorer.explore_missing(starts, cap, workers)
+    return {
+        (p, q): classify_cell(p, q, cap=cap, explorer=explorer)
+        for p, q in cells
+    }
 
 
 def check_table1(rows) -> tuple[str, bool, str]:

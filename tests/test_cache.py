@@ -1,32 +1,71 @@
 """The run's single explorer: memo, disk cache, cap rule and labels."""
 
+import os
+
 import pytest
 
 import quiver_atlas.cache as cache_mod
-from quiver_atlas.cache import make_explorer
+from quiver_atlas.cache import cache_path, load_report, make_explorer, store_report
 from quiver_atlas.canonical import canonical_key
-from quiver_atlas.correspondence import REGISTRY_ANCHORS
+from quiver_atlas.correspondence import classify_cell
 from quiver_atlas.explore import DEFAULT_CAP, Classification, explore, replay
 from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
 from quiver_atlas.verify import compute_grid
 
+EXPLORE_LOG = "QUIVER_ATLAS_TEST_EXPLORE_LOG"
 
-def test_grid_explores_each_class_once(monkeypatch):
-    explored = []
 
-    def counting_explore(start, cap=DEFAULT_CAP):
-        explored.append(canonical_key(start).data)
-        return explore(start, cap)
+def logged_explore(start, cap=DEFAULT_CAP):
+    """explore() that appends the start's canonical key to $EXPLORE_LOG.
 
-    monkeypatch.setattr(cache_mod, "explore", counting_explore)
-    compute_grid(6, 6)
-    cells = [(p, q) for p in range(2, 7) for q in range(2, 7)]
-    starts = {
-        canonical_key(initial_quiver(GrassmannianSpec(p, q))).data
-        for p, q in cells + list(REGISTRY_ANCHORS)
+    Module level and file backed, so that a process pool can pickle it and
+    its workers' calls are counted too.
+    """
+    with open(os.environ[EXPLORE_LOG], "a") as f:
+        f.write(canonical_key(start).hex() + "\n")
+    return explore(start, cap)
+
+
+@pytest.fixture
+def explored(tmp_path, monkeypatch):
+    """Counts explore() calls; returns a reader of the logged start keys."""
+    log = tmp_path / "explored.log"
+    log.touch()
+    monkeypatch.setenv(EXPLORE_LOG, str(log))
+    monkeypatch.setattr(cache_mod, "explore", logged_explore)
+    return lambda: log.read_text().split()
+
+
+def grid_starts(pmax, qmax):
+    return {
+        canonical_key(initial_quiver(GrassmannianSpec(p, q))).hex()
+        for p in range(2, pmax + 1)
+        for q in range(2, qmax + 1)
     }
-    assert len(explored) == len(starts)
-    assert set(explored) == starts
+
+
+def test_grid_explores_each_class_once(explored):
+    compute_grid(6, 6)
+    starts = grid_starts(6, 6)
+    assert len(explored()) == len(starts)
+    assert set(explored()) == starts
+
+
+def test_workers_explore_each_class_once(explored):
+    serial = compute_grid(5, 5)
+    serial_calls = len(explored())
+    parallel = compute_grid(5, 5, workers=2)
+    calls = explored()[serial_calls:]
+    assert len(calls) == 10
+    assert set(calls) == grid_starts(5, 5)
+    assert parallel == serial
+
+
+def test_classify_cell_explores_only_its_class(explored):
+    row = classify_cell(4, 4)
+    assert row.cluster.type_name == "E7(1,1)"
+    start = initial_quiver(GrassmannianSpec(4, 4))
+    assert explored() == [canonical_key(start).hex()]
 
 
 def test_cached_and_uncached_grids_agree(grid7, grid_cache):
@@ -60,3 +99,16 @@ def test_witness_in_caller_labels():
         report = explorer(m)
         assert report.classification is Classification.INFINITE_MUTATION_TYPE
         assert replay(m, report.infinite_witness).max_weight() >= 3
+
+
+def test_store_leaves_foreign_temp_file(tmp_path):
+    start = initial_quiver(GrassmannianSpec(3, 3))
+    key = canonical_key(start)
+    report = explore(start)
+    path = cache_path(tmp_path, key)
+    foreign = path.with_suffix(".tmp")
+    foreign.write_text("half-written by another run")
+    assert store_report(tmp_path, key, report, DEFAULT_CAP) == path
+    assert foreign.read_text() == "half-written by another run"
+    assert load_report(tmp_path, key, DEFAULT_CAP) == report
+    assert sorted(tmp_path.iterdir()) == sorted([path, foreign])

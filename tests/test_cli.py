@@ -208,3 +208,18 @@ def test_cache_env_var(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["explore", "--p", "2", "--q", "3"])
     assert result.exit_code == 0
     assert list((tmp_path / "envcache").glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["table", "--pmax", "4", "--qmax", "4", "--workers", "1"],
+        ["classify", "--p", "4", "--q", "4"],
+    ],
+)
+def test_planar_cell_inconclusive_at_small_cap(runner, command):
+    result = runner.invoke(
+        main, command + ["--cap", "100", "--no-cache", "--format", "csv"]
+    )
+    assert result.exit_code == 3, result.output
+    assert "\n4,4,4,inconclusive," in result.output

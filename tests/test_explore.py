@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from quiver_atlas.canonical import canonical_key
 from quiver_atlas.correspondence import (
     UNNAMED_FINITE_MUTATION,
     name_finite_mutation_type,
@@ -55,7 +56,7 @@ def test_markov_class():
     assert rep.classification is Classification.FINITE_MUTATION_TYPE
     assert rep.class_size == 1
     assert rep.max_weight_seen == 2
-    assert name_finite_mutation_type(rep, {}) == UNNAMED_FINITE_MUTATION
+    assert name_finite_mutation_type(rep) == UNNAMED_FINITE_MUTATION
 
 
 def test_immediately_heavy():
@@ -174,10 +175,20 @@ def test_name_finite_type_shapes():
     assert name_finite_type([d4]) == "D4"
 
 
-def test_name_finite_mutation_type_registry_hit():
-    rep = explore(from_matrix(MARKOV))
-    registry = {class_fingerprint(rep.member_keys): "markov"}
-    assert name_finite_mutation_type(rep, registry) == "markov"
+def test_name_finite_mutation_type_by_anchor():
+    # a start away from the Gr(4,8) grid quiver still names its class
+    rng = random.Random(5)
+    anchor = initial_quiver(GrassmannianSpec(4, 4))
+    m = anchor
+    for _ in range(2 * m.n):
+        m = m.mutate(rng.randrange(m.n))
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    start = m.permuted(perm)
+    assert canonical_key(start) != canonical_key(anchor)
+    rep = explore(start)
+    assert rep.classification is Classification.FINITE_MUTATION_TYPE
+    assert name_finite_mutation_type(rep) == "E7(1,1)"
 
 
 def test_report_fingerprint_matches_members():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .matrix import ExchangeMatrix
+from .matrix import ExchangeMatrix, _rows_json
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,8 @@ def _canonical_flat(rows, n):
 
 
 def _flat_to_bytes(flat, n) -> bytes:
-    body = ",".join(
-        "[" + ",".join(str(flat[i * n + j]) for j in range(n)) + "]"
-        for i in range(n)
-    )
-    return ("[" + body + "]").encode("ascii")
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    return _rows_json(rows).encode("ascii")
 
 
 def canonical_form(m: ExchangeMatrix) -> tuple[QuiverKey, tuple[int, ...]]:

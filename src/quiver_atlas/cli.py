@@ -180,9 +180,25 @@ def verify(cap, workers, cache_dir, no_cache):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cases", type=click.IntRange(min=1), default=500, show_default=True)
 def selftest(seed, cases):
-    """Randomized property checks: involution, equivariance, canonical keys."""
+    """Randomized property checks: the dense mutation formula, involution,
+    equivariance, canonical keys."""
     rng = random.Random(seed)
     failures = []
+
+    def dense_mutation(rows, k):
+        # b'_ij = -b_ij if k in {i, j}, else b_ij + sgn(b_ik) max(0, b_ik b_kj),
+        # entry by entry: a check on ExchangeMatrix.mutate, which touches
+        # only the rows of k and its neighbours.
+        n = len(rows)
+
+        def entry(i, j):
+            if k in (i, j):
+                return -rows[i][j]
+            bik = rows[i][k]
+            sign = (bik > 0) - (bik < 0)
+            return rows[i][j] + sign * max(0, bik * rows[k][j])
+
+        return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
     def random_quiver(n):
         rows = [[0] * n for _ in range(n)]
@@ -197,6 +213,8 @@ def selftest(seed, cases):
         n = rng.randint(1, 8)
         m = random_quiver(n)
         k = rng.randrange(n)
+        if m.mutate(k).rows != dense_mutation(m.rows, k):
+            failures.append(f"dense mutation case {case}")
         if m.mutate(k).mutate(k) != m:
             failures.append(f"involution case {case}")
         perm = list(range(n))

@@ -9,6 +9,19 @@ deduplicated by canonical key.  Classification:
 * finite type: the closure completes and every member has weights <= 1;
 * finite mutation type: the closure completes with some weight 2;
 * inconclusive: the exploration cap was hit first.
+
+The search itself tests only what each mutation changes, which rests on
+two invariants of Fomin-Zelevinsky mutation at k:
+
+* connected components never change, so "lies in a component of >= 3
+  vertices" is computed once per call;
+* only the entries b_ij with i -> k -> j change in absolute value (row and
+  column k merely change sign), so the heavy test, the largest weight seen
+  and the probe's scores are updated from those O(deg(k)^2) entries.
+
+The start quiver and every returned witness are checked independently, by
+the full scan of :func:`_has_heavy_component` (the witness after replaying
+it from the start).
 """
 
 from __future__ import annotations
@@ -17,6 +30,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .canonical import canonical_key
 from .matrix import ExchangeMatrix, QuiverError
@@ -30,6 +44,11 @@ class CapZero(QuiverError):
 
 class NoTreeRepresentative(QuiverError):
     """No class member is an A/D/E tree; signals a classification bug."""
+
+
+class WitnessCheckFailed(QuiverError):
+    """An infinite-type witness does not replay to a heavy component;
+    signals a bug in the incremental heavy-edge test."""
 
 
 class Classification(Enum):
@@ -91,47 +110,149 @@ PROBE_BEAM = 4
 PROBE_WIDTH = 16
 
 
-def _probe_candidates(m: ExchangeMatrix) -> list[int]:
+def _large_component_vertices(m: ExchangeMatrix) -> list[bool]:
+    """Flags v in a connected component of >= 3 vertices (mutation-invariant)."""
+    large = [False] * m.n
+    for comp in m.components():
+        if len(comp) >= 3:
+            for v in comp:
+                large[v] = True
+    return large
+
+
+def _through(row_k) -> tuple[list[int], list[int]]:
+    """(sources i of arrows i -> k, targets j of arrows k -> j), from row k.
+
+    Mutation at k changes |b_ij| only for i -> k -> j; every other entry
+    keeps its absolute value.
+    """
+    neighbours = list(compress(range(len(row_k)), row_k))
+    into = [i for i in neighbours if row_k[i] < 0]
+    out = [j for j in neighbours if row_k[j] > 0]
+    return into, out
+
+
+def _probe_candidates(row_max: list[int]) -> list[int]:
     """Mutation candidates for the witness probe: vertices carrying the
-    heaviest incident weights, ties broken by index."""
-    scored = sorted(
-        (-max((abs(x) for x in m.rows[v]), default=0), v) for v in range(m.n)
-    )
+    heaviest incident weights (``row_max[v]`` = max |b_vj|), ties broken by
+    index."""
+    scored = sorted((-w, v) for v, w in enumerate(row_max))
     return [v for _, v in scored[:PROBE_WIDTH]]
 
 
-def _witness_probe(start: ExchangeMatrix) -> tuple[tuple[int, ...] | None, int]:
+def _tally(rows) -> tuple[int, int, dict[int, int]]:
+    """(max weight, sum of squared entries, {|b_ij|: pairs i < j})."""
+    counts: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        for x in row[i + 1 :]:
+            counts[abs(x)] = counts.get(abs(x), 0) + 1
+    return max(counts), sum(x * x for row in rows for x in row), counts
+
+
+def _retally(sum_sq: int, counts: dict[int, int], changed):
+    """:func:`_tally` of a mutated quiver from its parent's sum of squares
+    and counts, given ``changed`` = [(b_ij, b'_ij)] for the pairs i -> k -> j
+    (each stands for two entries of the matrix)."""
+    counts = counts.copy()
+    for old, new in changed:
+        sum_sq += 2 * (new * new - old * old)
+        if counts[abs(old)] == 1:
+            del counts[abs(old)]
+        else:
+            counts[abs(old)] -= 1
+        counts[abs(new)] = counts.get(abs(new), 0) + 1
+    return max(counts), sum_sq, counts
+
+
+def _row_maxima(rows, row_max: list[int], touched) -> list[int]:
+    """``row_max`` with max_j |b_vj| recomputed for the rows ``touched``."""
+    row_max = row_max.copy()
+    for v in touched:
+        row_max[v] = max(map(abs, rows[v]))
+    return row_max
+
+
+def _witness_probe(
+    start: ExchangeMatrix, large: list[bool]
+) -> tuple[tuple[int, ...] | None, int]:
     """Deterministic guided search for a weight->=3 witness.
 
     Beam search over mutation sequences, scored by (max weight, sum of
     squared entries); both grow along mutation-infinite directions.  Returns
     (witness, quivers examined); (None, examined) means the probe budget ran
     out without a witness, which is expected for mutation-finite classes.
+
+    ``start`` has no heavy component and ``large`` flags the vertices of its
+    components of >= 3 vertices.  Each beam member carries its
+    :func:`_tally`, row hashes and row maxima, and a mutation at k updates
+    them from the rows it rebuilt (k and its neighbours) and the changed
+    entries i -> k -> j only.
     """
     n = start.n
     if n < 3:
         return None, 0
     max_steps = 8 * n
-    beam = [(start, ())]
-    seen = {start.rows}
+    rows = start.rows
+    _, sum_sq, counts = _tally(rows)
+    row_hash = [hash(row) for row in rows]
+    row_max = _row_maxima(rows, [0] * n, range(n))
+    beam = [(start, (), sum_sq, counts, row_hash, row_max)]
+    # The quivers examined, bucketed by the hash of their row hashes.
+    seen = {hash(tuple(row_hash)): [rows]}
+    examined = 1
     for _ in range(max_steps):
         scored = []
-        for m, seq in beam:
-            for k in _probe_candidates(m):
+        for m, seq, sum_sq, counts, row_hash, row_max in beam:
+            rows = m.rows
+            for k in _probe_candidates(row_max):
                 c = m.mutate(k)
-                if _has_heavy_component(c):
-                    return seq + (k,), len(seen)
-                if c.rows in seen:
+                crows = c.rows
+                into, out = _through(rows[k])
+                changed = [(rows[i][j], crows[i][j]) for i in into for j in out]
+                if large[k] and any(abs(new) >= 3 for _, new in changed):
+                    return seq + (k,), examined
+                c_row_hash = row_hash.copy()
+                for v in (k, *into, *out):
+                    c_row_hash[v] = hash(crows[v])
+                bucket = seen.setdefault(hash(tuple(c_row_hash)), [])
+                if crows in bucket:
                     continue
-                seen.add(c.rows)
-                w = c.max_weight()
-                ss = sum(x * x for row in c.rows for x in row)
-                scored.append(((w, ss), c, seq + (k,)))
+                bucket.append(crows)
+                examined += 1
+                w, c_sum_sq, c_counts = _retally(sum_sq, counts, changed)
+                touched = into + out if changed else ()
+                # row maxima wait until the child joins the beam
+                scored.append(
+                    (w, c_sum_sq, c, seq + (k,), c_counts, c_row_hash)
+                    + (row_max, touched)
+                )
         if not scored:
-            return None, len(seen)
-        scored.sort(key=lambda t: t[0], reverse=True)
-        beam = [(c, seq) for _, c, seq in scored[:PROBE_BEAM]]
-    return None, len(seen)
+            return None, examined
+        scored.sort(key=lambda t: t[:2], reverse=True)
+        beam = []
+        for entry in scored[:PROBE_BEAM]:
+            _, sum_sq, c, seq, counts, row_hash, row_max, touched = entry
+            row_max = _row_maxima(c.rows, row_max, touched)
+            beam.append((c, seq, sum_sq, counts, row_hash, row_max))
+    return None, examined
+
+
+def _checked_replay(start: ExchangeMatrix, witness) -> int:
+    """Replay ``witness`` from ``start`` and check its end with the full
+    scan of :func:`_has_heavy_component`; return the largest weight met
+    after ``start``."""
+    m = start
+    max_w = 0
+    for k in witness:
+        m = m.mutate(k)
+        w = m.max_weight()
+        if w > max_w:
+            max_w = w
+    if not _has_heavy_component(m):
+        raise WitnessCheckFailed(
+            f"witness {list(witness)} does not reach a heavy component"
+        )
+    return max_w
 
 
 def class_fingerprint(member_keys) -> str:
@@ -141,6 +262,17 @@ def class_fingerprint(member_keys) -> str:
         h.update(k.encode("ascii"))
         h.update(b"\n")
     return h.hexdigest()
+
+
+def _infinite(max_w: int, witness, explored: int) -> MutationClassReport:
+    return MutationClassReport(
+        classification=Classification.INFINITE_MUTATION_TYPE,
+        class_size=None,
+        max_weight_seen=max_w,
+        infinite_witness=witness,
+        type_name=None,
+        explored=explored,
+    )
 
 
 def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassReport:
@@ -156,34 +288,12 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     n = start.n
     max_w = start.max_weight()
     if _has_heavy_component(start):
-        return MutationClassReport(
-            classification=Classification.INFINITE_MUTATION_TYPE,
-            class_size=None,
-            max_weight_seen=max_w,
-            infinite_witness=(),
-            type_name=None,
-            explored=1,
-            member_keys=None,
-            fingerprint=None,
-        )
-    witness, probed = _witness_probe(start)
+        return _infinite(max_w, (), 1)
+    large = _large_component_vertices(start)
+    witness, probed = _witness_probe(start, large)
     if witness is not None:
-        m = start
-        for k in witness:
-            m = m.mutate(k)
-            w = m.max_weight()
-            if w > max_w:
-                max_w = w
-        return MutationClassReport(
-            classification=Classification.INFINITE_MUTATION_TYPE,
-            class_size=None,
-            max_weight_seen=max_w,
-            infinite_witness=witness,
-            type_name=None,
-            explored=probed,
-            member_keys=None,
-            fingerprint=None,
-        )
+        max_w = max(max_w, _checked_replay(start, witness))
+        return _infinite(max_w, witness, probed)
     start_key = canonical_key(start)
     seen: dict[str, ExchangeMatrix] = {start_key.hex(): start}
     queue = deque([(start, ())])
@@ -195,20 +305,17 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
             if k == last:
                 continue  # involution: mutating back reproduces the parent
             child = m.mutate(k)
-            w = child.max_weight()
+            # m's weights are already in max_w and m has no heavy component,
+            # so only the entries i -> k -> j can raise either.
+            into, out = _through(m.rows[k])
+            crows = child.rows
+            w = max((abs(crows[i][j]) for i in into for j in out), default=0)
             if w > max_w:
                 max_w = w
-            if _has_heavy_component(child):
-                return MutationClassReport(
-                    classification=Classification.INFINITE_MUTATION_TYPE,
-                    class_size=None,
-                    max_weight_seen=max_w,
-                    infinite_witness=seq + (k,),
-                    type_name=None,
-                    explored=len(seen),
-                    member_keys=None,
-                    fingerprint=None,
-                )
+            if w >= 3 and large[k]:
+                witness = seq + (k,)
+                _checked_replay(start, witness)
+                return _infinite(max_w, witness, len(seen))
             key = canonical_key(child).hex()
             if key not in seen:
                 if len(seen) >= cap:

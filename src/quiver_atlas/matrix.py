@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
+from operator import neg
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
+
+# The one text encoding of a matrix, shared by serialized matrices and
+# canonical keys: compact JSON, one array per row (json.dumps with these
+# separators, with the encoder built once).
+_rows_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class QuiverError(Exception):
@@ -57,10 +64,20 @@ class ExchangeMatrix:
     @classmethod
     def from_rows(cls, entries) -> "ExchangeMatrix":
         """Validate a square integer grid and return an ExchangeMatrix."""
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(int, row)) for row in entries)
         n = len(rows)
         if n == 0:
             raise EmptyMatrix("exchange matrix must have at least one vertex")
+        # Fast path at C speed: B = -B^T (which also zeroes the diagonal)
+        # and every entry in range (the smallest entry is then minus the
+        # largest).  Anything else goes through the loop below, which
+        # decides and names the first fault.
+        if (
+            all(len(row) == n for row in rows)
+            and rows == tuple(tuple(map(neg, col)) for col in zip(*rows))
+            and max(map(max, rows)) <= INT64_MAX
+        ):
+            return cls(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotSkewSymmetric(
@@ -84,43 +101,42 @@ class ExchangeMatrix:
         """Fomin-Zelevinsky matrix mutation at vertex k.
 
         b'_ij = -b_ij if k in {i, j}, else b_ij + sgn(b_ik) * max(0, b_ik*b_kj).
-        Returns a new matrix; self is unchanged.
+        Returns a new matrix; self is unchanged.  Only row k and the rows of
+        k's neighbours change; every other row is shared with self, so a
+        mutation costs O(n + deg(k) * n).
         """
-        n = self.n
+        b = self.rows
+        n = len(b)
         if not 0 <= k < n:
             raise VertexOutOfRange(f"vertex {k} out of range for n={n}")
-        b = self.rows
         bk = b[k]
-        out = []
-        for i in range(n):
+        neighbours = list(compress(range(n), bk))
+        out_k = [j for j in neighbours if bk[j] > 0]
+        in_k = [j for j in neighbours if bk[j] < 0]
+        out = list(b)
+        out[k] = tuple(map(neg, bk))
+        for i in neighbours:
             bi = b[i]
-            if i == k:
-                out.append(tuple(-x for x in bi))
-                continue
             bik = bi[k]
             row = list(bi)
             row[k] = -bik
             if bik > 0:
-                for j in range(n):
-                    bkj = bk[j]
-                    if bkj > 0:
-                        v = row[j] + bik * bkj
-                        if not (INT64_MIN <= v <= INT64_MAX):
-                            raise ArithmeticOverflow(
-                                f"mutation at {k} overflows entry ({i},{j})"
-                            )
-                        row[j] = v
-            elif bik < 0:
-                for j in range(n):
-                    bkj = bk[j]
-                    if bkj < 0:
-                        v = row[j] - bik * bkj
-                        if not (INT64_MIN <= v <= INT64_MAX):
-                            raise ArithmeticOverflow(
-                                f"mutation at {k} overflows entry ({i},{j})"
-                            )
-                        row[j] = v
-            out.append(tuple(row))
+                for j in out_k:
+                    v = row[j] + bik * bk[j]
+                    if not (INT64_MIN <= v <= INT64_MAX):
+                        raise ArithmeticOverflow(
+                            f"mutation at {k} overflows entry ({i},{j})"
+                        )
+                    row[j] = v
+            else:
+                for j in in_k:
+                    v = row[j] - bik * bk[j]
+                    if not (INT64_MIN <= v <= INT64_MAX):
+                        raise ArithmeticOverflow(
+                            f"mutation at {k} overflows entry ({i},{j})"
+                        )
+                    row[j] = v
+            out[i] = tuple(row)
         return ExchangeMatrix(tuple(out))
 
     def mutate_sequence(self, vertices) -> "ExchangeMatrix":
@@ -195,7 +211,7 @@ class ExchangeMatrix:
 
     def serialize(self) -> str:
         """Compact JSON array-of-arrays of integers (byte-stable)."""
-        return json.dumps([list(r) for r in self.rows], separators=(",", ":"))
+        return _rows_json(self.rows)
 
     def to_dot(self) -> str:
         """DOT digraph; one edge per vertex pair, labeled with multiplicity > 1."""

@@ -90,3 +90,14 @@ def test_determinism():
 def test_key_hex_is_lowercase():
     h = canonical_key(from_matrix(MARKOV)).hex()
     assert h == h.lower()
+
+
+def test_key_bytes_are_compact_json_rows():
+    # cache files are named by these bytes: changing them needs a schema bump
+    assert canonical_key(from_matrix(A3_PATH)).data == b"[[0,-1,0],[1,0,-1],[0,1,0]]"
+    big = 2**40
+    m = from_matrix([[0, big, 0], [-big, 0, 1], [0, -1, 0]])
+    assert canonical_key(m).data == (
+        b"[[0,1,-1099511627776],[-1,0,0],[1099511627776,0,0]]"
+    )
+    assert from_matrix(A3_PATH).serialize() == "[[0,1,0],[-1,0,1],[0,-1,0]]"

@@ -115,6 +115,106 @@ class TestMutation:
             m.mutate(1)
 
 
+def dense_mutation(rows, k):
+    """b'_ij entry by entry, from the Fomin-Zelevinsky formula."""
+    n = len(rows)
+
+    def entry(i, j):
+        if k in (i, j):
+            return -rows[i][j]
+        bik = rows[i][k]
+        sign = (bik > 0) - (bik < 0)
+        return rows[i][j] + sign * max(0, bik * rows[k][j])
+
+    return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+
+
+class TestSparseMutation:
+    def test_matches_dense_formula(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            m = random_quiver(rng, rng.randint(1, 12), lo=-4, hi=4)
+            for k in range(m.n):
+                assert m.mutate(k).rows == dense_mutation(m.rows, k)
+
+    def test_rows_away_from_k_are_shared(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(2, 12)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.3:
+                        rows[i][j] = rng.randint(-3, 3)
+                        rows[j][i] = -rows[i][j]
+            m = from_matrix(rows)
+            k = rng.randrange(n)
+            child = m.mutate(k)
+            for i in range(n):
+                shared = child.rows[i] is m.rows[i]
+                assert shared == (i != k and m.rows[i][k] == 0)
+
+    def test_overflow_names_first_entry_in_row_major_order(self):
+        rng = random.Random(14)
+        big = [0, 1, -1, 2**31, -(2**31), 2**32 + 5, -(2**32) - 5]
+        raised = 0
+        for _ in range(300):
+            n = rng.randint(3, 8)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    rows[i][j] = rng.choice(big)
+                    rows[j][i] = -rows[i][j]
+            m = from_matrix(rows)
+            k = rng.randrange(m.n)
+            dense = dense_mutation(m.rows, k)
+            first = next(
+                (
+                    (i, j)
+                    for i in range(m.n)
+                    for j in range(m.n)
+                    if not -(2**63) <= dense[i][j] <= 2**63 - 1
+                ),
+                None,
+            )
+            if first is None:
+                assert m.mutate(k).rows == dense
+                continue
+            raised += 1
+            with pytest.raises(ArithmeticOverflow) as err:
+                m.mutate(k)
+            assert str(err.value) == (
+                f"mutation at {k} overflows entry ({first[0]},{first[1]})"
+            )
+        assert raised > 20
+
+
+@pytest.mark.parametrize(
+    "rows,error,message",
+    [
+        ([[0, 1], [-1]], NotSkewSymmetric, "row 1 has length 1, expected 2"),
+        ([[0, 1], [-1, 2]], NotSkewSymmetric, "nonzero diagonal entry at (1,1)"),
+        ([[0, 1], [0, 0]], NotSkewSymmetric, "b[0][1] = 1 but b[1][0] = 0"),
+        (
+            [[0, 0, 1], [0, 5, 0], [0, 0, 0]],
+            NotSkewSymmetric,
+            "b[0][2] = 1 but b[2][0] = 0",
+        ),
+        (
+            [[0, 2**63], [-(2**63), 0]],
+            ArithmeticOverflow,
+            "entry (0,1) outside 64-bit range",
+        ),
+    ],
+    ids=["ragged", "diagonal", "skew", "first-fault", "range"],
+)
+def test_from_rows_errors_keep_class_and_message(rows, error, message):
+    with pytest.raises(error) as err:
+        from_matrix(rows)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
 class TestSerialization:
     def test_round_trip(self):
         m = from_matrix(A3_PATH)

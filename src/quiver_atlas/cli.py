@@ -180,8 +180,8 @@ def verify(cap, workers, cache_dir, no_cache):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cases", type=click.IntRange(min=1), default=500, show_default=True)
 def selftest(seed, cases):
-    """Randomized property checks: the dense mutation formula, involution,
-    equivariance, canonical keys."""
+    """Randomized property checks: the dense mutation formula, restriction
+    to a full subquiver, involution, equivariance, canonical keys."""
     rng = random.Random(seed)
     failures = []
 
@@ -215,6 +215,17 @@ def selftest(seed, cases):
         k = rng.randrange(n)
         if m.mutate(k).rows != dense_mutation(m.rows, k):
             failures.append(f"dense mutation case {case}")
+        # mutation at a vertex of S commutes with restriction to S
+        sub = rng.sample(range(n), rng.randint(1, n))
+        pos = rng.randrange(len(sub))
+
+        def restrict(rows):
+            return tuple(tuple(rows[i][j] for j in sub) for i in sub)
+
+        if restrict(m.mutate(sub[pos]).rows) != dense_mutation(
+            restrict(m.rows), pos
+        ):
+            failures.append(f"restriction case {case}")
         if m.mutate(k).mutate(k) != m:
             failures.append(f"involution case {case}")
         perm = list(range(n))

@@ -147,18 +147,12 @@ class ExchangeMatrix:
         return m
 
     def max_weight(self) -> int:
-        """Largest |b_ij| over i < j (0 for n = 1 or the zero matrix)."""
-        n = self.n
-        w = 0
-        for i in range(n):
-            ri = self.rows[i]
-            for j in range(i + 1, n):
-                a = ri[j]
-                if a < 0:
-                    a = -a
-                if a > w:
-                    w = a
-        return w
+        """Largest |b_ij| over i < j (0 for n = 1 or the zero matrix).
+
+        The matrix is skew-symmetric with a zero diagonal, so this is its
+        largest entry: b_ji = -b_ij, and the diagonal makes it >= 0.
+        """
+        return max(map(max, self.rows))
 
     def permuted(self, perm) -> "ExchangeMatrix":
         """Relabel vertices: old vertex i becomes perm[i] in the result."""

@@ -1,6 +1,6 @@
 import importlib
 import random
-from collections import Counter, deque
+from collections import deque
 
 import pytest
 
@@ -19,10 +19,8 @@ from quiver_atlas.explore import (
     name_finite_type,
     replay,
     WitnessCheckFailed,
-    _retally,
-    _row_maxima,
-    _tally,
-    _through,
+    _large_component_vertices,
+    _witness_probe,
     report_to_dict,
 )
 from quiver_atlas.grassmannian import (
@@ -218,10 +216,11 @@ def test_determinism_of_reports():
 
 # --- dense reference ------------------------------------------------------
 #
-# The explorer updates its heavy-edge test, largest weight and probe scores
-# from the entries a mutation changes.  The reference below recomputes all
-# of them from the full matrix after every mutation, with its own dense
-# mutation and component search, and must give the same reports.
+# The explorer updates its heavy-edge test and largest weight from the
+# entries a mutation changes, and probes full subquivers on balls of up to
+# 12 vertices.  The reference below recomputes every score from the full
+# matrix after every mutation, with its own dense mutation, ball search and
+# component search, and must give the same reports.
 
 
 def _dense_mutate(rows, k):
@@ -248,13 +247,8 @@ def _dense_max_weight(rows):
     return max((abs(x) for row in rows for x in row), default=0)
 
 
-def _dense_heavy(rows):
+def _dense_component_sizes(rows):
     n = len(rows)
-    heavy = [
-        i for i in range(n) for j in range(i + 1, n) if abs(rows[i][j]) >= 3
-    ]
-    if not heavy:
-        return False
     size_of = {}
     for s in range(n):
         if s in size_of:
@@ -268,22 +262,41 @@ def _dense_heavy(rows):
                     stack.append(w)
         for v in comp:
             size_of[v] = len(comp)
+    return size_of
+
+
+def _dense_heavy(rows):
+    n = len(rows)
+    heavy = [
+        i for i in range(n) for j in range(i + 1, n) if abs(rows[i][j]) >= 3
+    ]
+    if not heavy:
+        return False
+    size_of = _dense_component_sizes(rows)
     return any(size_of[i] >= 3 for i in heavy)
 
 
-def _dense_probe(rows):
+def _dense_ball(rows, v):
+    ball, queue = [v], deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in range(len(rows)):
+            if rows[u][w] != 0 and w not in ball:
+                if len(ball) == 12:
+                    return ball
+                ball.append(w)
+                queue.append(w)
+    return ball
+
+
+def _dense_beam(rows):
     n = len(rows)
-    if n < 3:
-        return None, 0
     beam = [(rows, ())]
     seen = {rows}
     for _ in range(8 * n):
         scored = []
         for m, seq in beam:
-            ranked = sorted(
-                (-max(abs(x) for x in m[v]), v) for v in range(n)
-            )
-            for _, k in ranked[:16]:
+            for k in range(n):
                 c = _dense_mutate(m, k)
                 if _dense_heavy(c):
                     return seq + (k,), len(seen)
@@ -299,7 +312,26 @@ def _dense_probe(rows):
     return None, len(seen)
 
 
-def _dense_explore(start, cap):
+def _dense_probe(rows):
+    size_of = _dense_component_sizes(rows)
+    examined, probed = 0, []
+    for v in range(len(rows)):
+        if size_of[v] < 3:
+            continue
+        ball = _dense_ball(rows, v)
+        if set(ball) in probed:
+            continue
+        probed.append(set(ball))
+        witness, count = _dense_beam(
+            tuple(tuple(rows[i][j] for j in ball) for i in ball)
+        )
+        examined += count
+        if witness is not None:
+            return tuple(ball[k] for k in witness), examined
+    return None, examined
+
+
+def _dense_explore(start, cap, probe=True):
     """(report, how it ended) by full scans after every mutation."""
 
     def infinite(max_w, witness, explored):
@@ -313,7 +345,7 @@ def _dense_explore(start, cap):
     max_w = _dense_max_weight(rows)
     if _dense_heavy(rows):
         return infinite(max_w, (), 1), "start"
-    witness, probed = _dense_probe(rows)
+    witness, probed = _dense_probe(rows) if probe else (None, 0)
     if witness is not None:
         m = rows
         for k in witness:
@@ -379,8 +411,8 @@ def _mixed_quiver(rng):
     return from_matrix(rows)
 
 
-def _assert_same_as_dense(start, cap):
-    expected, ending = _dense_explore(start, cap)
+def _assert_same_as_dense(start, cap, probe=True):
+    expected, ending = _dense_explore(start, cap, probe)
     got = explore(start, cap=cap)
     assert report_to_dict(got) == report_to_dict(expected)
     assert got.member_keys == expected.member_keys
@@ -399,12 +431,27 @@ def test_explore_matches_dense_reference_random(chunk):
     assert endings >= {"start", "probe", "cap", "finite", "finite-mutation"}
 
 
+def test_probe_matches_dense_reference_on_misses():
+    # reports hide what a probe miss examined, so compare the probe itself,
+    # on starts with no heavy component; an A13 path has only two distinct
+    # balls of 12 vertices
+    rng = random.Random(1100)
+    path = initial_quiver(GrassmannianSpec(2, 14))
+    perm = list(range(path.n))
+    rng.shuffle(perm)
+    starts = [path, path.permuted(perm)]
+    starts += [_mixed_quiver(rng) for _ in range(60)]
+    for start in starts:
+        if _dense_heavy(start.rows):
+            continue
+        got = _witness_probe(start, _large_component_vertices(start))
+        assert got == _dense_probe(start.rows)
+
+
 def _hidden_triangle(a=2, b=2, c=2):
     """Eight isolated arrows of weights 3..10 (heavy, but in rank-2
-    components) and an acyclic triangle 17 -a-> 16 -b-> 18, 17 -c-> 18.
-    The probe only mutates the 16 vertices of heaviest rows, so it never
-    touches the triangle; mutating its middle vertex 16 gives an arrow of
-    weight c + a*b, which only the BFS finds."""
+    components) and an acyclic triangle 17 -a-> 16 -b-> 18, 17 -c-> 18;
+    mutating its middle vertex 16 gives an arrow of weight c + a*b."""
     n = 19
     rows = [[0] * n for _ in range(n)]
     for v, w in enumerate(range(3, 11)):
@@ -414,56 +461,48 @@ def _hidden_triangle(a=2, b=2, c=2):
     return from_matrix(rows)
 
 
+def _probe_misses(monkeypatch):
+    # the package's ``explore`` function shadows the submodule's name
+    explore_module = importlib.import_module("quiver_atlas.explore")
+    monkeypatch.setattr(
+        explore_module, "_witness_probe", lambda start, large: (None, 0)
+    )
+
+
 @pytest.mark.parametrize("weights", [(2, 2, 2), (1, 2, 1)])
-def test_explore_matches_dense_reference_bfs_witness(weights):
+def test_explore_matches_dense_reference_bfs_witness(weights, monkeypatch):
     rng = random.Random(7)
     start = _hidden_triangle(*weights)
-    assert _assert_same_as_dense(start, 1) == "bfs"
+    # the probe skips the rank-2 components and finds the triangle itself
+    assert _assert_same_as_dense(start, 1) == "probe"
     report = explore(start, cap=1)
     assert report.infinite_witness == (16,)
     assert report.max_weight_seen == 10
+    # with a probe that misses, the BFS finds the same witness
+    _probe_misses(monkeypatch)
+    assert _assert_same_as_dense(start, 1, probe=False) == "bfs"
+    assert explore(start, cap=1).infinite_witness == (16,)
     for _ in range(3):
         perm = list(range(start.n))
         rng.shuffle(perm)
-        assert _assert_same_as_dense(start.permuted(perm), 2000) == "bfs"
-
-
-def test_probe_tallies_follow_mutation():
-    # the probe's incremental scores equal a full recount after every step
-    rng = random.Random(21)
-    for _ in range(100):
-        m = random_quiver(rng, rng.randint(3, 10), lo=-2, hi=2)
-        n = m.n
-        _, sum_sq, counts = _tally(m.rows)
-        row_max = [max(abs(x) for x in row) for row in m.rows]
-        for _ in range(10):
-            k = rng.randrange(n)
-            child = m.mutate(k)
-            into, out = _through(m.rows[k])
-            changed = [
-                (m.rows[i][j], child.rows[i][j]) for i in into for j in out
-            ]
-            w, sum_sq, counts = _retally(sum_sq, counts, changed)
-            row_max = _row_maxima(child.rows, row_max, into + out)
-            m, rows = child, child.rows
-            assert w == max(abs(x) for row in rows for x in row)
-            assert sum_sq == sum(x * x for row in rows for x in row)
-            assert counts == dict(
-                Counter(
-                    abs(rows[i][j]) for i in range(n) for j in range(i + 1, n)
-                )
-            )
-            assert row_max == [max(abs(x) for x in row) for row in rows]
+        assert _assert_same_as_dense(start.permuted(perm), 2000, False) == "bfs"
 
 
 def test_witness_checked_by_full_scan(monkeypatch):
-    # the package's ``explore`` function shadows the submodule's name
     explore_module = importlib.import_module("quiver_atlas.explore")
-    # a full scan that never sees a heavy component rejects every witness
-    monkeypatch.setattr(explore_module, "_has_heavy_component", lambda m: False)
-    for start in (initial_quiver(GrassmannianSpec(3, 7)), _hidden_triangle()):
-        with pytest.raises(WitnessCheckFailed):
-            explore(start)
+    full_scan = explore_module._has_heavy_component
+    # a full scan that sees no heavy component in a quiver of more than 12
+    # vertices passes the probe's subquivers but rejects the replayed witness
+    monkeypatch.setattr(
+        explore_module,
+        "_has_heavy_component",
+        lambda m: m.n <= 12 and full_scan(m),
+    )
+    with pytest.raises(WitnessCheckFailed):
+        explore(initial_quiver(GrassmannianSpec(3, 8)))
+    _probe_misses(monkeypatch)
+    with pytest.raises(WitnessCheckFailed):
+        explore(_hidden_triangle())
 
 
 RED_CELLS = [
@@ -485,3 +524,41 @@ def test_explore_matches_dense_reference_red_cell(p, q):
         "probe",
         "bfs",
     )
+
+
+def _assert_dense_witness(start):
+    report = explore(start, cap=1)
+    assert report.classification is Classification.INFINITE_MUTATION_TYPE
+    rows = start.rows
+    for k in report.infinite_witness:
+        rows = _dense_mutate(rows, k)
+    assert _dense_heavy(rows)
+
+
+MID_RANK_RED_CELLS = [
+    (p, q) for p, q in RED_CELLS if 20 <= (p - 1) * (q - 1) <= 40
+]
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_probe_finds_witness_on_relabelled_red_cells(chunk):
+    # the witness does not hang on the grid labelling
+    rng = random.Random(600 + chunk)
+    for _ in range(20):
+        start = initial_quiver(GrassmannianSpec(*rng.choice(MID_RANK_RED_CELLS)))
+        perm = list(range(start.n))
+        rng.shuffle(perm)
+        _assert_dense_witness(start.permuted(perm))
+
+
+@pytest.mark.parametrize(
+    "p,q,relabelled",
+    [(8, 12, True), (3, 20, False), (16, 16, False), (20, 20, False)],
+)
+def test_probe_finds_witness_on_large_cells(p, q, relabelled):
+    start = initial_quiver(GrassmannianSpec(p, q))
+    if relabelled:
+        perm = list(range(start.n))
+        random.Random(612).shuffle(perm)
+        start = start.permuted(perm)
+    _assert_dense_witness(start)

@@ -154,6 +154,22 @@ class TestSparseMutation:
                 shared = child.rows[i] is m.rows[i]
                 assert shared == (i != k and m.rows[i][k] == 0)
 
+    def test_mutation_commutes_with_restriction(self):
+        # for k in S, the S-block of m.mutate(k) is the full subquiver on S
+        # mutated at k's position in S (S in any order)
+        rng = random.Random(15)
+        for _ in range(500):
+            n = rng.randint(1, 10)
+            m = random_quiver(rng, n, lo=-4, hi=4)
+            s = rng.sample(range(n), rng.randint(1, n))
+            pos = rng.randrange(len(s))
+
+            def restricted(rows):
+                return tuple(tuple(rows[i][j] for j in s) for i in s)
+
+            sub = from_matrix(restricted(m.rows))
+            assert restricted(m.mutate(s[pos]).rows) == sub.mutate(pos).rows
+
     def test_overflow_names_first_entry_in_row_major_order(self):
         rng = random.Random(14)
         big = [0, 1, -1, 2**31, -(2**31), 2**32 + 5, -(2**32) - 5]
@@ -261,6 +277,17 @@ class TestQueries:
 
     def test_max_weight_zero(self):
         assert from_matrix([[0] * 3 for _ in range(3)]).max_weight() == 0
+
+    def test_max_weight_random(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            n = rng.randint(1, 10)
+            m = random_quiver(rng, n, lo=-6, hi=6)
+            dense = max(
+                (abs(m.rows[i][j]) for i in range(n) for j in range(i + 1, n)),
+                default=0,
+            )
+            assert m.max_weight() == dense
 
     def test_components(self):
         m = from_matrix(

@@ -44,6 +44,17 @@ def _cache_opts(f):
     return f
 
 
+_cap_opt = click.option(
+    "--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True
+)
+_workers_opt = click.option(
+    "--workers",
+    type=click.IntRange(min=1),
+    default=lambda: os.cpu_count() or 1,
+    help="Processes that explore distinct classes (default: available parallelism).",
+)
+
+
 def _resolve_cache(cache_dir, no_cache):
     if no_cache:
         return None
@@ -59,7 +70,7 @@ def main():
 @main.command()
 @click.option("--p", "p", type=click.IntRange(min=2), required=True)
 @click.option("--q", "q", type=click.IntRange(min=2), required=True)
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
+@_cap_opt
 @click.option(
     "--format",
     "fmt",
@@ -82,13 +93,8 @@ def classify(p, q, cap, fmt, cache_dir, no_cache):
 @main.command()
 @click.option("--pmax", type=click.IntRange(min=2), default=7, show_default=True)
 @click.option("--qmax", type=click.IntRange(min=2), default=7, show_default=True)
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
-@click.option(
-    "--workers",
-    type=click.IntRange(min=1),
-    default=lambda: os.cpu_count() or 1,
-    help="Processes that explore distinct classes (default: available parallelism).",
-)
+@_cap_opt
+@_workers_opt
 @click.option(
     "--format",
     "fmt",
@@ -138,7 +144,7 @@ def quiver(p, q, fmt):
 @main.command("explore")
 @click.option("--p", "p", type=click.IntRange(min=2), required=True)
 @click.option("--q", "q", type=click.IntRange(min=2), required=True)
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
+@_cap_opt
 @_cache_opts
 def explore_cmd(p, q, cap, cache_dir, no_cache):
     """Enumerate the mutation class of the Gr(p, p+q) initial quiver."""
@@ -150,13 +156,8 @@ def explore_cmd(p, q, cap, cache_dir, no_cache):
 
 
 @main.command()
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
-@click.option(
-    "--workers",
-    type=click.IntRange(min=1),
-    default=lambda: os.cpu_count() or 1,
-    help="Processes that explore distinct classes (default: available parallelism).",
-)
+@_cap_opt
+@_workers_opt
 @_cache_opts
 def verify(cap, workers, cache_dir, no_cache):
     """Run the full reproduction suite (tables, duality, trichotomy)."""

@@ -120,22 +120,15 @@ class ExchangeMatrix:
             bik = bi[k]
             row = list(bi)
             row[k] = -bik
-            if bik > 0:
-                for j in out_k:
-                    v = row[j] + bik * bk[j]
-                    if not (INT64_MIN <= v <= INT64_MAX):
-                        raise ArithmeticOverflow(
-                            f"mutation at {k} overflows entry ({i},{j})"
-                        )
-                    row[j] = v
-            else:
-                for j in in_k:
-                    v = row[j] - bik * bk[j]
-                    if not (INT64_MIN <= v <= INT64_MAX):
-                        raise ArithmeticOverflow(
-                            f"mutation at {k} overflows entry ({i},{j})"
-                        )
-                    row[j] = v
+            # b_ij changes only along i -> k -> j or j -> k -> i, by |b_ik| b_kj.
+            scale, through = (bik, out_k) if bik > 0 else (-bik, in_k)
+            for j in through:
+                v = row[j] + scale * bk[j]
+                if not (INT64_MIN <= v <= INT64_MAX):
+                    raise ArithmeticOverflow(
+                        f"mutation at {k} overflows entry ({i},{j})"
+                    )
+                row[j] = v
             out[i] = tuple(row)
         return ExchangeMatrix(tuple(out))
 

@@ -3,8 +3,8 @@
 A tiling by regular p-gons, q around each vertex, is spherical, planar, or
 hyperbolic according to r = (p-2)(q-2) being < 4, = 4, or > 4.  The same
 trichotomy is visible in the sign of the angular defect at a vertex and in
-the signature of the cosine Gram matrix of [p,q]; both are computed here as
-cross-checks of the integer test.
+the signature of the cosine Gram matrix of [p,q], read off its closed-form
+eigenvalues; both are computed here as cross-checks of the integer test.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .matrix import QuiverError
 
@@ -95,31 +93,33 @@ def angular_defect_sign(sym: SchlafliSymbol) -> int:
     return (d > 0) - (d < 0)
 
 
-def gram_matrix(sym: SchlafliSymbol) -> np.ndarray:
-    """Cosine Gram matrix of the Coxeter group [p,q]."""
+def gram_matrix(sym: SchlafliSymbol) -> tuple[tuple[float, ...], ...]:
+    """Cosine Gram matrix of the Coxeter group [p,q], as a tuple of rows."""
     c1 = math.cos(math.pi / sym.p)
     c2 = math.cos(math.pi / sym.q)
-    return np.array(
-        [
-            [1.0, -c1, 0.0],
-            [-c1, 1.0, -c2],
-            [0.0, -c2, 1.0],
-        ]
+    return (
+        (1.0, -c1, 0.0),
+        (-c1, 1.0, -c2),
+        (0.0, -c2, 1.0),
     )
 
 
 def gram_signature(sym: SchlafliSymbol) -> tuple[int, int, int]:
     """(n+, n0, n-) eigenvalue counts of the Gram matrix.
 
-    Zero is decided with tolerance GRAM_EIGENVALUE_TOL; the exactly-planar
-    case r = 4 is additionally pinned to (2, 1, 0) to avoid the
-    positive-semidefinite knife edge.
+    With a = cos(pi/p) and b = cos(pi/q), expanding det(G - x) along the
+    first row gives (1 - x)((1 - x)^2 - a^2 - b^2), so the eigenvalues are
+    exactly 1 and 1 +- sqrt(a^2 + b^2).  Zero is decided with tolerance
+    GRAM_EIGENVALUE_TOL; the exactly-planar case r = 4 is additionally
+    pinned to (2, 1, 0) to avoid the positive-semidefinite knife edge.
     """
     if sym.r == 4:
         return (2, 1, 0)
-    eig = np.linalg.eigvalsh(gram_matrix(sym))
-    pos = int(np.sum(eig > GRAM_EIGENVALUE_TOL))
-    neg = int(np.sum(eig < -GRAM_EIGENVALUE_TOL))
+    g = gram_matrix(sym)
+    s = math.hypot(g[0][1], g[1][2])
+    eig = (1.0, 1.0 + s, 1.0 - s)
+    pos = sum(e > GRAM_EIGENVALUE_TOL for e in eig)
+    neg = sum(e < -GRAM_EIGENVALUE_TOL for e in eig)
     return (pos, 3 - pos - neg, neg)
 
 

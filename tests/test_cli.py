@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quiver_atlas
 import quiver_atlas.cli as cli_mod
 from quiver_atlas.cli import main
 from quiver_atlas.correspondence import CorrespondenceRow
@@ -14,6 +19,21 @@ from quiver_atlas.tiling import SchlafliSymbol, tiling_report
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def test_library_and_cli_import_without_numpy():
+    # numpy is a test-only oracle: a fresh interpreter that imports the
+    # package and its CLI must not load it.
+    src = str(Path(quiver_atlas.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, quiver_atlas, quiver_atlas.cli; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_classify_d4(runner, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quiver_atlas.tiling import (
+    GRAM_EIGENVALUE_TOL,
     GeometryClass,
     InvalidSymbol,
     NotSpherical,
@@ -57,6 +58,20 @@ def test_gram_signatures():
     assert gram_signature(SchlafliSymbol(3, 3)) == (3, 0, 0)
     assert gram_signature(SchlafliSymbol(4, 4)) == (2, 1, 0)
     assert gram_signature(SchlafliSymbol(3, 7)) == (2, 0, 1)
+
+
+def test_gram_signature_matches_eigvalsh():
+    # Oracle: a general symmetric eigensolver on the same matrix, its
+    # eigenvalues counted against the same tolerance.
+    cells = [(p, q) for p in range(2, 61) for q in range(2, 61)]
+    for q in (1000, 10_000, 60_000):
+        cells += [(2, q), (q, 2)]
+    for p, q in cells:
+        sym = SchlafliSymbol(p, q)
+        eig = np.linalg.eigvalsh(gram_matrix(sym))
+        pos = int(np.sum(eig > GRAM_EIGENVALUE_TOL))
+        neg = int(np.sum(eig < -GRAM_EIGENVALUE_TOL))
+        assert gram_signature(sym) == (pos, 3 - pos - neg, neg), (p, q)
 
 
 def test_geometry_from_signature_rejects_garbage():

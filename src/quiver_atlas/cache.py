@@ -5,8 +5,9 @@ key bytes (keys themselves can exceed filename limits at large rank).  Each
 file stores the schema version, the start key in lowercase hex, the cap the
 report was computed at, the report, and the sorted member keys when the
 class was fully enumerated.  Corrupt files are ignored with a warning and
-the report is recomputed.  :func:`make_explorer` puts a per-run memo in
-front of the cache, so each class is explored at most once per run.
+the report is recomputed.  :func:`explore_classes` is the one way to a
+report through the cache: one call is one run, which explores each distinct
+class of its starts at most once.  No memo outlives a call.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ def store_report(
     return path
 
 
-def _reusable(report: MutationClassReport, report_cap: int, cap: int) -> bool:
-    """Whether a report computed at ``report_cap`` answers a call at ``cap``:
-    an inconclusive one does not when the larger cap may resolve the class."""
-    return not (
-        report.classification is Classification.INCONCLUSIVE
-        and report_cap < cap
-    )
-
-
 def load_report(
     cache_dir: Path, key: QuiverKey, cap: int
 ) -> MutationClassReport | None:
@@ -108,82 +100,71 @@ def load_report(
         )
         if (report.class_size, report.fingerprint) != expected:
             raise CacheCorrupt(f"class size or fingerprint mismatch in {path}")
+        # an inconclusive report does not answer a larger cap, which may
+        # resolve the class
+        stale = (
+            payload["cap"] < cap
+            and report.classification is Classification.INCONCLUSIVE
+        )
     except CacheCorrupt:
         raise
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CacheCorrupt(f"unreadable cache file {path}: {e}") from e
-    return report if _reusable(report, payload["cap"], cap) else None
+    return None if stale else report
 
 
-def make_explorer(cache_dir: Path | None = None):
-    """One run's explorer, called as ``explorer(start, cap)`` like explore().
+def explore_classes(
+    starts,
+    cap: int = DEFAULT_CAP,
+    workers: int = 1,
+    cache_dir: Path | None = None,
+) -> list[MutationClassReport]:
+    """One report per start, in order, as explore(start, cap) would give.
 
-    Each call explores the canonical relabelling of ``start``, so isomorphic
-    starts share one report and the result never depends on which labelling
-    came first.  A report is looked up in the run's memo, then in the
-    on-disk cache under ``cache_dir`` (when given), and computed only on a
-    miss; its witness is translated back into the caller's vertex labels.
-    The memo lives as long as the returned function.
-
-    ``explorer.explore_missing(starts, cap, workers)`` fills the memo ahead
-    of such calls: it explores each distinct class of ``starts`` that the
-    memo and the disk cache cannot answer at ``cap``, in a pool of
-    ``workers`` processes, and records the reports in the calling process.
+    Each start is canonicalised once, so isomorphic starts share one class
+    and the result never depends on which labelling came first.  Each
+    distinct class is read from the on-disk cache under ``cache_dir`` (when
+    given) or else explored from its canonical relabelling and stored; with
+    ``workers`` > 1 and more than one class to explore, the explores run in
+    a pool of that many ``spawn`` processes.  Witnesses are translated back
+    into each start's vertex labels.
     """
-    memo: dict[bytes, tuple[MutationClassReport, int]] = {}
-
-    def known(key: QuiverKey, cap: int) -> MutationClassReport | None:
-        entry = memo.get(key.data)
-        if entry is not None and _reusable(*entry, cap):
-            return entry[0]
+    forms = [(start, *canonical_form(start)) for start in starts]
+    reports: dict[bytes, MutationClassReport | None] = {}
+    missing: dict[bytes, tuple[QuiverKey, ExchangeMatrix]] = {}
+    for start, key, perm in forms:
+        if key.data in reports:
+            continue
         report = None
         if cache_dir is not None:
             try:
                 report = load_report(cache_dir, key, cap)
             except CacheCorrupt as e:
                 log.warning("ignoring corrupt cache entry: %s", e)
-        if report is not None:
-            memo[key.data] = (report, cap)
-        return report
-
-    def record(
-        key: QuiverKey, report: MutationClassReport, cap: int
-    ) -> MutationClassReport:
-        memo[key.data] = (report, cap)
-        if cache_dir is not None:
-            store_report(cache_dir, key, report, cap)
-        return report
-
-    def explorer(
-        start: ExchangeMatrix, cap: int = DEFAULT_CAP
-    ) -> MutationClassReport:
-        key, perm = canonical_form(start)
-        report = known(key, cap)
+        reports[key.data] = report
         if report is None:
-            report = record(key, explore(start.permuted(perm), cap), cap)
-        if not report.infinite_witness:
-            return report
-        # perm maps caller label -> canonical label; invert it
-        caller = {new: old for old, new in enumerate(perm)}
-        return dataclasses.replace(
-            report,
-            infinite_witness=tuple(caller[v] for v in report.infinite_witness),
-        )
-
-    def explore_missing(starts, cap: int, workers: int) -> None:
-        missing: dict[bytes, tuple[QuiverKey, ExchangeMatrix]] = {}
-        for start in starts:
-            key, perm = canonical_form(start)
-            if key.data not in missing and known(key, cap) is None:
-                missing[key.data] = (key, start.permuted(perm))
-        if not missing:
-            return
+            missing[key.data] = (key, start.permuted(perm))
+    if missing:
         keys, canonical_starts = zip(*missing.values())
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            reports = pool.map(explore, canonical_starts, repeat(cap))
-            for key, report in zip(keys, reports):
-                record(key, report, cap)
-
-    explorer.explore_missing = explore_missing
-    return explorer
+        if workers > 1 and len(missing) > 1:
+            context = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                fresh = list(pool.map(explore, canonical_starts, repeat(cap)))
+        else:
+            fresh = map(explore, canonical_starts, repeat(cap))
+        for key, report in zip(keys, fresh):
+            if cache_dir is not None:
+                store_report(cache_dir, key, report, cap)
+            reports[key.data] = report
+    out = []
+    for _, key, perm in forms:
+        report = reports[key.data]
+        if report.infinite_witness:
+            # perm maps caller label -> canonical label; invert it
+            caller = {new: old for old, new in enumerate(perm)}
+            report = dataclasses.replace(
+                report,
+                infinite_witness=tuple(caller[v] for v in report.infinite_witness),
+            )
+        out.append(report)
+    return out

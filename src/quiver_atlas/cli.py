@@ -19,7 +19,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .cache import default_cache_dir, make_explorer
+from .cache import default_cache_dir
 from .canonical import canonical_form, canonical_key, is_isomorphic
 from .correspondence import classify_cell
 from .explore import DEFAULT_CAP, Classification, report_to_dict
@@ -81,8 +81,8 @@ def main():
 @_cache_opts
 def classify(p, q, cap, fmt, cache_dir, no_cache):
     """Classify one cell on both sides and report whether they agree."""
-    explorer = make_explorer(_resolve_cache(cache_dir, no_cache))
-    row = classify_cell(p, q, cap=cap, explorer=explorer)
+    cache = _resolve_cache(cache_dir, no_cache)
+    row = classify_cell(p, q, cap=cap, cache_dir=cache)
     click.echo(render_rows([row_to_dict(row)], fmt), nl=False)
     if row.cluster.classification is Classification.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)
@@ -148,8 +148,8 @@ def quiver(p, q, fmt):
 @_cache_opts
 def explore_cmd(p, q, cap, cache_dir, no_cache):
     """Enumerate the mutation class of the Gr(p, p+q) initial quiver."""
-    explorer = make_explorer(_resolve_cache(cache_dir, no_cache))
-    report = classify_cell(p, q, cap=cap, explorer=explorer).cluster
+    cache = _resolve_cache(cache_dir, no_cache)
+    report = classify_cell(p, q, cap=cap, cache_dir=cache).cluster
     click.echo(json.dumps(report_to_dict(report), sort_keys=True, indent=1))
     if report.classification is Classification.INCONCLUSIVE:
         sys.exit(EXIT_INCONCLUSIVE)

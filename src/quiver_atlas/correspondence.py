@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 
-from .cache import make_explorer
+from .cache import explore_classes
 from .canonical import canonical_key
 from .explore import DEFAULT_CAP, Classification, MutationClassReport
 from .grassmannian import GrassmannianSpec, initial_quiver
@@ -68,31 +68,39 @@ def name_finite_mutation_type(report: MutationClassReport) -> str:
     return UNNAMED_FINITE_MUTATION
 
 
-def classify_cell(
-    p: int,
-    q: int,
-    cap: int = DEFAULT_CAP,
-    explorer=None,
+def correspondence_row(
+    p: int, q: int, cluster: MutationClassReport
 ) -> CorrespondenceRow:
-    """Run both classifications for one (p, q) cell.
+    """The row of cell (p, q) given the report on its grid quiver's class.
 
-    ``explorer`` is a :func:`quiver_atlas.cache.make_explorer` explorer, or
-    any function called as ``explorer(start, cap)`` like explore(); a fresh
-    one without a disk cache is used when omitted.  Finite-mutation-type
-    classes are named by :func:`name_finite_mutation_type`.
+    Finite-mutation-type classes are named by
+    :func:`name_finite_mutation_type`; the tiling side is computed here.
     """
-    if explorer is None:
-        explorer = make_explorer()
-    spec = GrassmannianSpec(p, q)
-    cluster = explorer(initial_quiver(spec), cap)
     if cluster.classification is Classification.FINITE_MUTATION_TYPE:
         cluster = replace(cluster, type_name=name_finite_mutation_type(cluster))
     tiling = tiling_report(SchlafliSymbol(p, q))
     return CorrespondenceRow(
         p=p,
         q=q,
-        r=spec.r,
+        r=GrassmannianSpec(p, q).r,
         cluster=cluster,
         tiling=tiling,
         match=categories_match(cluster.classification, tiling.geometry),
     )
+
+
+def classify_cell(
+    p: int,
+    q: int,
+    cap: int = DEFAULT_CAP,
+    cache_dir=None,
+) -> CorrespondenceRow:
+    """Run both classifications for one (p, q) cell.
+
+    The cluster side is :func:`quiver_atlas.cache.explore_classes` of the
+    cell's grid quiver; ``cache_dir`` adds the on-disk cache.
+    """
+    [cluster] = explore_classes(
+        [initial_quiver(GrassmannianSpec(p, q))], cap, cache_dir=cache_dir
+    )
+    return correspondence_row(p, q, cluster)

@@ -15,8 +15,6 @@ from enum import Enum
 
 from .matrix import QuiverError
 
-GRAM_EIGENVALUE_TOL = 1e-9
-
 
 class InvalidSymbol(QuiverError):
     """Raised for Schlafli symbols with p < 2 or q < 2."""
@@ -109,17 +107,20 @@ def gram_signature(sym: SchlafliSymbol) -> tuple[int, int, int]:
 
     With a = cos(pi/p) and b = cos(pi/q), expanding det(G - x) along the
     first row gives (1 - x)((1 - x)^2 - a^2 - b^2), so the eigenvalues are
-    exactly 1 and 1 +- sqrt(a^2 + b^2).  Zero is decided with tolerance
-    GRAM_EIGENVALUE_TOL; the exactly-planar case r = 4 is additionally
-    pinned to (2, 1, 0) to avoid the positive-semidefinite knife edge.
+    exactly 1 and 1 +- s with s = sqrt(a^2 + b^2).  The small one is taken
+    without cancellation as 1 - s = (1 - s^2)/(1 + s), where
+    1 - s^2 = -cos(pi/p + pi/q) cos(pi/p - pi/q); it is nonzero unless
+    r = 4, since |1/p + 1/q - 1/2| >= 1/(2pq), so signs are counted
+    exactly.  The planar case r = 4 is pinned to (2, 1, 0).
     """
     if sym.r == 4:
         return (2, 1, 0)
     g = gram_matrix(sym)
     s = math.hypot(g[0][1], g[1][2])
-    eig = (1.0, 1.0 + s, 1.0 - s)
-    pos = sum(e > GRAM_EIGENVALUE_TOL for e in eig)
-    neg = sum(e < -GRAM_EIGENVALUE_TOL for e in eig)
+    x, y = math.pi / sym.p, math.pi / sym.q
+    eig = (1.0, 1.0 + s, -math.cos(x + y) * math.cos(x - y) / (1.0 + s))
+    pos = sum(e > 0 for e in eig)
+    neg = sum(e < 0 for e in eig)
     return (pos, 3 - pos - neg, neg)
 
 

@@ -7,8 +7,8 @@ the acceptance test suite both drive these.
 
 from __future__ import annotations
 
-from .cache import make_explorer
-from .correspondence import CorrespondenceRow, classify_cell
+from .cache import explore_classes
+from .correspondence import CorrespondenceRow, correspondence_row
 from .explore import DEFAULT_CAP, Classification
 from .grassmannian import (
     GrassmannianSpec,
@@ -59,22 +59,20 @@ def compute_grid(
 ) -> dict[tuple[int, int], CorrespondenceRow]:
     """Classify every cell 2 <= p <= pmax, 2 <= q <= qmax.
 
-    Each class is explored once per run; with ``workers`` > 1 the distinct
-    classes that are not cached yet are explored in that many processes
-    first.  ``cache_dir`` adds the on-disk cache, shared across runs.
+    The grid quivers are one :func:`quiver_atlas.cache.explore_classes`
+    call, so each class is explored once per run, in ``workers`` processes;
+    ``cache_dir`` adds the on-disk cache, shared across runs.
     """
     cells = [
         (p, q)
         for p in range(2, pmax + 1)
         for q in range(2, qmax + 1)
     ]
-    explorer = make_explorer(cache_dir)
-    if workers > 1:
-        starts = [initial_quiver(GrassmannianSpec(p, q)) for p, q in cells]
-        explorer.explore_missing(starts, cap, workers)
+    starts = [initial_quiver(GrassmannianSpec(p, q)) for p, q in cells]
+    reports = explore_classes(starts, cap, workers, cache_dir)
     return {
-        (p, q): classify_cell(p, q, cap=cap, explorer=explorer)
-        for p, q in cells
+        (p, q): correspondence_row(p, q, report)
+        for (p, q), report in zip(cells, reports)
     }
 
 

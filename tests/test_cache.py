@@ -1,12 +1,19 @@
-"""The run's single explorer: memo, disk cache, cap rule and labels."""
+"""One batch call per run: disk cache, cap rule, labels and pool."""
 
+import json
 import os
 
 import pytest
 
 import quiver_atlas.cache as cache_mod
-from quiver_atlas.cache import cache_path, load_report, make_explorer, store_report
-from quiver_atlas.canonical import canonical_key
+from quiver_atlas.cache import (
+    CacheCorrupt,
+    cache_path,
+    explore_classes,
+    load_report,
+    store_report,
+)
+from quiver_atlas.canonical import canonical_form, canonical_key
 from quiver_atlas.correspondence import classify_cell
 from quiver_atlas.explore import DEFAULT_CAP, Classification, explore, replay
 from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
@@ -76,29 +83,52 @@ def test_cached_and_uncached_grids_agree(grid7, grid_cache):
         assert row.cluster == warm[cell].cluster, cell
 
 
-@pytest.mark.parametrize("use_disk", [False, True])
-def test_inconclusive_not_reused_at_larger_cap(tmp_path, use_disk):
-    cache_dir = tmp_path if use_disk else None
+def test_inconclusive_not_reused_at_larger_cap(tmp_path):
     start = initial_quiver(GrassmannianSpec(2, 6))  # A5, 19 members
-    explorer = make_explorer(cache_dir)
-    assert explorer(start, 10).classification is Classification.INCONCLUSIVE
-    full = explorer(start)
+    [small] = explore_classes([start], 10, cache_dir=tmp_path)
+    assert small.classification is Classification.INCONCLUSIVE
+    [full] = explore_classes([start], cache_dir=tmp_path)
     assert full.classification is Classification.FINITE_TYPE
     assert full.class_size == 19
-    if use_disk:
-        # a later run at the small cap reads the stored full report
-        assert make_explorer(cache_dir)(start, 10) == full
+    # a later run at the small cap reads the stored full report
+    assert explore_classes([start], 10, cache_dir=tmp_path) == [full]
 
 
-def test_witness_in_caller_labels():
+def test_witness_in_caller_labels(explored):
     start = initial_quiver(GrassmannianSpec(4, 5))
     perm = list(reversed(range(start.n)))
     relabelled = start.permuted(perm)
-    explorer = make_explorer()
-    for m in (start, relabelled):
-        report = explorer(m)
+    reports = explore_classes([start, relabelled])
+    assert explored() == [canonical_key(start).hex()]
+    assert reports[0].infinite_witness != reports[1].infinite_witness
+    for m, report in zip((start, relabelled), reports):
         assert report.classification is Classification.INFINITE_MUTATION_TYPE
         assert replay(m, report.infinite_witness).max_weight() >= 3
+
+
+def test_each_start_canonicalised_once(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return canonical_form(m)
+
+    monkeypatch.setattr(cache_mod, "canonical_form", counted)
+    compute_grid(5, 5, workers=2)
+    assert len(calls) == 16
+
+
+def test_no_pool_unless_two_classes_to_explore(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("pool started")
+
+    warm = compute_grid(5, 5, cache_dir=tmp_path)
+    monkeypatch.setattr(cache_mod, "ProcessPoolExecutor", no_pool)
+    assert compute_grid(5, 5, workers=2, cache_dir=tmp_path) == warm
+    # a batch of one class explores it in the calling process
+    start = initial_quiver(GrassmannianSpec(4, 5))
+    batch = [start, start.permuted(list(reversed(range(start.n))))]
+    assert explore_classes(batch, workers=2) == explore_classes(batch)
 
 
 def test_store_leaves_foreign_temp_file(tmp_path):
@@ -112,3 +142,14 @@ def test_store_leaves_foreign_temp_file(tmp_path):
     assert foreign.read_text() == "half-written by another run"
     assert load_report(tmp_path, key, DEFAULT_CAP) == report
     assert sorted(tmp_path.iterdir()) == sorted([path, foreign])
+
+
+def test_entry_without_cap_is_corrupt(tmp_path):
+    start = initial_quiver(GrassmannianSpec(3, 3))
+    key = canonical_key(start)
+    path = store_report(tmp_path, key, explore(start), DEFAULT_CAP)
+    payload = json.loads(path.read_text())
+    del payload["cap"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheCorrupt):
+        load_report(tmp_path, key, DEFAULT_CAP)

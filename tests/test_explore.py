@@ -319,12 +319,11 @@ def _dense_probe(rows):
         if size_of[v] < 3:
             continue
         ball = _dense_ball(rows, v)
-        if set(ball) in probed:
+        sub = tuple(tuple(rows[i][j] for j in ball) for i in ball)
+        if set(ball) in probed or sub in probed:
             continue
-        probed.append(set(ball))
-        witness, count = _dense_beam(
-            tuple(tuple(rows[i][j] for j in ball) for i in ball)
-        )
+        probed += [set(ball), sub]
+        witness, count = _dense_beam(sub)
         examined += count
         if witness is not None:
             return tuple(ball[k] for k in witness), examined
@@ -446,6 +445,20 @@ def test_probe_matches_dense_reference_on_misses():
             continue
         got = _witness_probe(start, _large_component_vertices(start))
         assert got == _dense_probe(start.rows)
+
+
+def test_probe_skips_repeated_subquivers():
+    # the balls of a grid path that lie away from its ends have equal
+    # subquiver rows, so A20 and A30 examine the same quivers
+    counts = []
+    for q in (21, 31):
+        start = initial_quiver(GrassmannianSpec(2, q))
+        witness, examined = _witness_probe(
+            start, _large_component_vertices(start)
+        )
+        assert witness is None
+        counts.append(examined)
+    assert counts[0] == counts[1]
 
 
 def _hidden_triangle(a=2, b=2, c=2):

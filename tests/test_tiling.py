@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from quiver_atlas.tiling import (
-    GRAM_EIGENVALUE_TOL,
     GeometryClass,
     InvalidSymbol,
     NotSpherical,
@@ -19,6 +18,9 @@ from quiver_atlas.tiling import (
     spherical_data,
     tiling_report,
 )
+
+# The eigensolver oracle's zero tolerance.
+GRAM_EIGENVALUE_TOL = 1e-9
 
 
 def test_rejects_invalid_symbol():
@@ -72,6 +74,16 @@ def test_gram_signature_matches_eigvalsh():
         pos = int(np.sum(eig > GRAM_EIGENVALUE_TOL))
         neg = int(np.sum(eig < -GRAM_EIGENVALUE_TOL))
         assert gram_signature(sym) == (pos, 3 - pos - neg, neg), (p, q)
+
+
+@pytest.mark.parametrize("q", [70_249, 70_300, 10**5, 10**6])
+def test_gram_signature_of_thin_spherical_tilings(q):
+    # the small eigenvalue 1 - cos(pi/q) of {2,q} and {q,2} is below 1e-9
+    for sym in (SchlafliSymbol(2, q), SchlafliSymbol(q, 2)):
+        assert gram_signature(sym) == (3, 0, 0)
+        assert geometry_from_signature(gram_signature(sym)) is (
+            GeometryClass.SPHERICAL
+        )
 
 
 def test_geometry_from_signature_rejects_garbage():

@@ -9,7 +9,17 @@ smallest is chosen, so the resulting key is deterministic across runs and
 platforms, invariant under vertex relabeling, and equal keys imply isomorphic
 quivers.
 
-A full n!-enumeration oracle is provided for cross-checking in tests.
+The backtracking prunes automorphic branches (McKay and Piperno, *Practical
+graph isomorphism II*, 2014).  Automorphisms come from twin vertices
+(identical rows) and from pairs of leaves with equal serializations; a child
+in the orbit of an already explored sibling, under the automorphisms fixing
+the node's individualised vertices, is skipped.  A skipped subtree is an
+image of an explored one and children are visited in index order, so the
+first smallest leaf, and with it the key and the returned permutation, is
+the one the unpruned search finds.
+
+``brute_force_isomorphic`` searches all n! permutations, as an oracle for
+tests.
 """
 
 from __future__ import annotations
@@ -53,23 +63,48 @@ def _refine(rows, colors, n):
         colors = new
 
 
+def _twin_swaps(rows, n):
+    """Transpositions of consecutive vertices with identical rows.
+
+    Identical rows force a zero entry between the two vertices, so swapping
+    them is an automorphism.  Chaining each twin to the next (not every twin
+    to the first) leaves the swaps of the later twins fixing the earlier ones
+    once those are individualised.
+    """
+    last = {}
+    swaps = []
+    for v, row in enumerate(rows):
+        u = last.get(row)
+        if u is not None:
+            g = list(range(n))
+            g[u], g[v] = v, u
+            swaps.append(g)
+        last[row] = v
+    return swaps
+
+
 def _canonical_flat(rows, n):
     """Return (flat row-major tuple, permutation old->new) of the canonical form."""
     best_flat = None
     best_perm = None
+    best_inv = None
+    autos = []  # automorphisms found so far, each as a list old -> image
 
     def visit_leaf(colors):
-        nonlocal best_flat, best_perm
+        nonlocal best_flat, best_perm, best_inv
         inv = [0] * n
         for v, c in enumerate(colors):
             inv[c] = v
         flat = tuple(rows[inv[i]][inv[j]] for i in range(n) for j in range(n))
         if best_flat is None or flat < best_flat:
-            best_flat = flat
-            best_perm = colors
-        return flat
+            best_flat, best_perm, best_inv = flat, colors, inv
+        elif flat == best_flat:
+            g = [0] * n
+            for b, v in zip(best_inv, inv):
+                g[b] = v
+            autos.append(g)
 
-    def search(colors):
+    def search(colors, fixed):
         colors = _refine(rows, colors, n)
         # target cell: lowest color class that is not a singleton
         counts = [0] * n
@@ -83,14 +118,39 @@ def _canonical_flat(rows, n):
         if target < 0:
             visit_leaf(colors)
             return
+        if not fixed:
+            autos.extend(_twin_swaps(rows, n))
+        # orbits of the automorphisms that fix this node's individualised
+        # vertices: such a map carries the subtree of one child onto that of
+        # another, so a child in the orbit of an explored one is skipped
+        orbit = list(range(n))
+
+        def find(x):
+            while orbit[x] != x:
+                orbit[x] = x = orbit[orbit[x]]
+            return x
+
+        folded = 0
+        explored = []
         for v in range(n):
-            if colors[v] == target:
-                search(tuple(-1 if w == v else colors[w] for w in range(n)))
+            if colors[v] != target:
+                continue
+            for g in autos[folded:]:
+                if all(g[f] == f for f in fixed):
+                    for x, y in enumerate(g):
+                        if x != y:
+                            orbit[find(x)] = find(y)
+            folded = len(autos)
+            root = find(v)
+            if any(find(u) == root for u in explored):
+                continue
+            explored.append(v)
+            search(tuple(-1 if w == v else colors[w] for w in range(n)), fixed + (v,))
 
     if all(x == 0 for row in rows for x in row):
-        # zero matrix: every labeling is equivalent, avoid n! branching
+        # zero matrix: every labeling gives the same key; keep the identity
         return tuple(0 for _ in range(n * n)), tuple(range(n))
-    search((0,) * n)
+    search((0,) * n, ())
     return best_flat, tuple(best_perm)
 
 
@@ -117,21 +177,6 @@ def is_isomorphic(m1: ExchangeMatrix, m2: ExchangeMatrix) -> bool:
     if m1.n != m2.n:
         return False
     return canonical_key(m1).data == canonical_key(m2).data
-
-
-def brute_force_key(m: ExchangeMatrix) -> bytes:
-    """Reference oracle: minimum serialization over all n! permutations.
-
-    Exponential; intended for tests with n <= 8.
-    """
-    n = m.n
-    rows = m.rows
-    best = None
-    for inv in permutations(range(n)):
-        flat = tuple(rows[inv[i]][inv[j]] for i in range(n) for j in range(n))
-        if best is None or flat < best:
-            best = flat
-    return _flat_to_bytes(best, n)
 
 
 def brute_force_isomorphic(m1: ExchangeMatrix, m2: ExchangeMatrix) -> bool:

@@ -182,7 +182,8 @@ def verify(cap, workers, cache_dir, no_cache):
 @click.option("--cases", type=click.IntRange(min=1), default=500, show_default=True)
 def selftest(seed, cases):
     """Randomized property checks: the dense mutation formula, restriction
-    to a full subquiver, involution, equivariance, canonical keys."""
+    to a full subquiver, involution, equivariance, canonical keys (also of
+    relabelled stars and disjoint 3-cycles)."""
     rng = random.Random(seed)
     failures = []
 
@@ -208,6 +209,23 @@ def selftest(seed, cases):
                 w = rng.randint(-3, 3)
                 rows[i][j] = w
                 rows[j][i] = -w
+        return ExchangeMatrix.from_rows(rows)
+
+    def symmetric_quiver():
+        # a star K1,k or k disjoint oriented 3-cycles: random quivers are
+        # almost never symmetric, so these exercise the backtracking's
+        # automorphism pruning
+        k = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            edges = [(0, v) for v in range(1, k + 1)]
+        else:
+            edges = [
+                (3 * c + i, 3 * c + (i + 1) % 3) for c in range(k) for i in range(3)
+            ]
+        n = max(max(e) for e in edges) + 1
+        rows = [[0] * n for _ in range(n)]
+        for i, j in edges:
+            rows[i][j], rows[j][i] = 1, -1
         return ExchangeMatrix.from_rows(rows)
 
     for case in range(cases):
@@ -241,6 +259,15 @@ def selftest(seed, cases):
         key, cperm = canonical_form(m)
         if m.permuted(cperm).serialize().encode() != key.data:
             failures.append(f"canonical permutation case {case}")
+        sym = symmetric_quiver()
+        perm = list(range(sym.n))
+        rng.shuffle(perm)
+        psym = sym.permuted(perm)
+        key, cperm = canonical_form(psym)
+        if canonical_key(sym).data != key.data:
+            failures.append(f"symmetric canonical invariance case {case}")
+        if psym.permuted(cperm).serialize().encode() != key.data:
+            failures.append(f"symmetric canonical permutation case {case}")
     for f in failures[:10]:
         click.echo(f"FAIL {f}", err=True)
     if failures:

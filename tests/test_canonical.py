@@ -1,6 +1,15 @@
 import random
+from contextlib import contextmanager
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quiver_atlas import canonical
 from quiver_atlas.canonical import (
+    _flat_to_bytes,
+    _refine,
     brute_force_isomorphic,
     canonical_form,
     canonical_key,
@@ -101,3 +110,194 @@ def test_key_bytes_are_compact_json_rows():
         b"[[0,1,-1099511627776],[-1,0,0],[1099511627776,0,0]]"
     )
     assert from_matrix(A3_PATH).serialize() == "[[0,1,0],[-1,0,1],[0,-1,0]]"
+
+
+# --- symmetric families: refinement leaves big cells, backtracking decides ---
+
+A2 = [[0, 1], [-1, 0]]
+
+
+def star(k, w=1):
+    """K1,k: vertex 0 joined to each of 1..k by weight w."""
+    rows = [[0] * (k + 1) for _ in range(k + 1)]
+    for v in range(1, k + 1):
+        rows[0][v], rows[v][0] = w, -w
+    return from_matrix(rows)
+
+
+def copies(block, k):
+    """Disjoint union of k copies of a quiver."""
+    b = len(block)
+    rows = [[0] * (b * k) for _ in range(b * k)]
+    for c in range(k):
+        for i in range(b):
+            for j in range(b):
+                rows[c * b + i][c * b + j] = block[i][j]
+    return from_matrix(rows)
+
+
+def cycle(n):
+    """Oriented n-cycle 0 -> 1 -> ... -> n-1 -> 0."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        rows[i][j], rows[j][i] = 1, -1
+    return from_matrix(rows)
+
+
+def complete_bipartite(m, w=1):
+    """K_{m,m}, every edge from the first m vertices to the last m."""
+    rows = [[0] * (2 * m) for _ in range(2 * m)]
+    for i in range(m):
+        for j in range(m, 2 * m):
+            rows[i][j], rows[j][i] = w, -w
+    return from_matrix(rows)
+
+
+def relabel(rng, m):
+    perm = list(range(m.n))
+    rng.shuffle(perm)
+    return m.permuted(perm)
+
+
+def unpruned_flat(rows, n):
+    """The backtracking search with no automorphism pruning.
+
+    Every child of every node is explored, so it is factorial on symmetric
+    quivers; the pruned search must return exactly its (flat, permutation).
+    """
+    best_flat = None
+    best_perm = None
+
+    def search(colors):
+        colors = _refine(rows, colors, n)
+        counts = [0] * n
+        for c in colors:
+            counts[c] += 1
+        target = next((c for c, cnt in enumerate(counts) if cnt > 1), -1)
+        if target < 0:
+            nonlocal best_flat, best_perm
+            inv = [0] * n
+            for v, c in enumerate(colors):
+                inv[c] = v
+            flat = tuple(rows[inv[i]][inv[j]] for i in range(n) for j in range(n))
+            if best_flat is None or flat < best_flat:
+                best_flat, best_perm = flat, colors
+            return
+        for v in range(n):
+            if colors[v] == target:
+                search(tuple(-1 if w == v else colors[w] for w in range(n)))
+
+    if all(x == 0 for row in rows for x in row):
+        return tuple(0 for _ in range(n * n)), tuple(range(n))
+    search((0,) * n)
+    return best_flat, tuple(best_perm)
+
+
+def assert_same_as_unpruned(m):
+    key, perm = canonical_form(m)
+    flat, want_perm = unpruned_flat(m.rows, m.n)
+    assert key.data == _flat_to_bytes(flat, m.n)
+    assert perm == want_perm
+
+
+def test_same_output_as_unpruned_search_random():
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        # narrow weights make twins and other automorphisms common
+        lo, hi = rng.choice([(-1, 1), (0, 1), (-3, 3)])
+        assert_same_as_unpruned(random_quiver(rng, n, lo, hi))
+
+
+SMALL_SYMMETRIC = {
+    **{f"K1,{m}": star(m) for m in range(1, 8)},
+    "K1,5 weight -2": star(5, -2),
+    **{f"{k}xC3": copies(CYCLE3, k) for k in range(1, 5)},
+    **{f"{k}xA2": copies(A2, k) for k in range(1, 7)},
+    **{f"C{n}": cycle(n) for n in range(3, 10)},
+    "K3,3": complete_bipartite(3),
+}
+
+
+@pytest.mark.parametrize(
+    "m", SMALL_SYMMETRIC.values(), ids=list(SMALL_SYMMETRIC)
+)
+def test_same_output_as_unpruned_search_symmetric(m):
+    rng = random.Random(m.n)
+    assert_same_as_unpruned(m)
+    for _ in range(2):
+        assert_same_as_unpruned(relabel(rng, m))
+
+
+symmetric_quivers = st.one_of(
+    st.builds(star, st.integers(1, 30), st.sampled_from([1, -1, 2])),
+    st.builds(copies, st.just(CYCLE3), st.integers(1, 10)),
+    st.builds(copies, st.just(A2), st.integers(1, 12)),
+    st.builds(cycle, st.integers(3, 30)),
+    st.builds(complete_bipartite, st.integers(1, 6), st.sampled_from([1, 2])),
+)
+
+
+@st.composite
+def relabelled(draw, quivers=symmetric_quivers):
+    m = draw(quivers)
+    return m, m.permuted(draw(st.permutations(range(m.n))))
+
+
+@contextmanager
+def search_nodes_at_most(bound):
+    """Fail as soon as the backtracking refines more than ``bound`` nodes.
+
+    Counting nodes instead of seconds makes a factorial search fail at once
+    rather than time out.
+    """
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        assert calls <= bound, f"more than {bound} search nodes"
+        return _refine(*args)
+
+    with mock.patch.object(canonical, "_refine", counted):
+        yield
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled())
+def test_symmetric_relabelling_gives_one_realised_key(pair):
+    m, pm = pair
+    with search_nodes_at_most(m.n**2):
+        key, perm = canonical_form(pm)
+    assert key == canonical_key(m)
+    assert pm.permuted(perm).serialize().encode() == key.data
+
+
+small_symmetric_quivers = st.one_of(
+    st.builds(star, st.integers(1, 5), st.sampled_from([1, -1, 2])),
+    st.builds(copies, st.just(CYCLE3), st.integers(1, 2)),
+    st.builds(copies, st.just(A2), st.integers(1, 3)),
+    st.builds(cycle, st.integers(3, 6)),
+    st.builds(complete_bipartite, st.integers(1, 3), st.sampled_from([1, 2])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled(small_symmetric_quivers), small_symmetric_quivers, st.data())
+def test_symmetric_isomorphism_agrees_with_brute_force(pair, other, data):
+    m, pm = pair
+    # a mutation keeps the vertex count but mostly breaks the isomorphism
+    mutated = pm.mutate(data.draw(st.integers(0, pm.n - 1)))
+    for candidate in (pm, mutated, other):
+        assert is_isomorphic(m, candidate) == brute_force_isomorphic(m, candidate)
+
+
+@pytest.mark.parametrize(
+    "m", [star(20), copies(CYCLE3, 10)], ids=["K1,20", "10xC3"]
+)
+def test_pruned_search_stays_polynomial(m):
+    rng = random.Random(11)
+    for _ in range(5):
+        with search_nodes_at_most(m.n**2):
+            canonical_form(relabel(rng, m))

@@ -14,7 +14,6 @@ from .explore import (
     Classification,
     MutationClassReport,
     explore,
-    name_finite_type,
     replay,
 )
 from .grassmannian import (
@@ -49,7 +48,6 @@ __all__ = [
     "Classification",
     "MutationClassReport",
     "explore",
-    "name_finite_type",
     "replay",
     "GrassmannianSpec",
     "expected_classification",

@@ -27,12 +27,13 @@ from .explore import (
     DEFAULT_CAP,
     Classification,
     MutationClassReport,
+    _finite_type_name,
     class_fingerprint,
     explore,
     report_from_dict,
     report_to_dict,
 )
-from .matrix import ExchangeMatrix, QuiverError
+from .matrix import ExchangeMatrix, QuiverError, deserialize
 
 SCHEMA_VERSION = 1
 
@@ -82,7 +83,8 @@ def load_report(
     """Load a cached report, or None on miss / cap-incompatible entry.
 
     Raises CacheCorrupt on unreadable or inconsistent files, including a
-    class size or fingerprint that does not match the stored member keys.
+    class size, fingerprint or type name that does not match the stored
+    member keys (the name is re-derived as explore derives it).
     """
     path = cache_path(cache_dir, key)
     if not path.exists():
@@ -100,6 +102,13 @@ def load_report(
         )
         if (report.class_size, report.fingerprint) != expected:
             raise CacheCorrupt(f"class size or fingerprint mismatch in {path}")
+        # explore names finite-type classes only
+        name = None
+        if report.classification is Classification.FINITE_TYPE:
+            start = deserialize(key.data.decode("ascii"))
+            name = _finite_type_name(start, keys)
+        if report.type_name != name:
+            raise CacheCorrupt(f"type name mismatch in {path}")
         # an inconclusive report does not answer a larger cap, which may
         # resolve the class
         stale = (

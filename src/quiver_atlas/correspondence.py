@@ -2,6 +2,10 @@
 
 The two trichotomies are matched under finite type <-> spherical,
 finite mutation type <-> planar, infinite mutation type <-> hyperbolic.
+:func:`quiver_atlas.explore.explore` names the finite-type classes (A/D/E);
+the finite-mutation-type ones are named here, with the same
+:func:`quiver_atlas.explore.name_class`, from the grid anchors Gr(4,8) and
+Gr(3,9).
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from functools import cache
 
 from .cache import explore_classes
 from .canonical import canonical_key
-from .explore import DEFAULT_CAP, Classification, MutationClassReport
+from .explore import DEFAULT_CAP, Classification, MutationClassReport, name_class
 from .grassmannian import GrassmannianSpec, initial_quiver
 from .tiling import GeometryClass, SchlafliSymbol, TilingReport, tiling_report
 
@@ -61,11 +65,8 @@ def name_finite_mutation_type(report: MutationClassReport) -> str:
     E7(1,1) or E8(1,1) exactly when the canonical key of the Gr(4,8) or
     Gr(3,9) grid quiver is among its member keys.
     """
-    members = report.member_keys or ()
-    for key, name in _anchor_names().items():
-        if key in members:
-            return name
-    return UNNAMED_FINITE_MUTATION
+    name = name_class(report.member_keys or (), _anchor_names())
+    return name or UNNAMED_FINITE_MUTATION
 
 
 def correspondence_row(

@@ -33,6 +33,11 @@ exceeds the default cap anyway.
 The start quiver and every returned witness are checked independently, by
 the full scan of :func:`_has_heavy_component` (the witness after replaying
 it from the start).
+
+A class is named by :func:`name_class`, after the anchor quiver whose
+canonical key is among its member keys: here a Dynkin diagram for finite
+type, in :mod:`quiver_atlas.correspondence` a grid quiver for finite
+mutation type.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import chain, compress
 from operator import mul
 
@@ -52,10 +58,6 @@ DEFAULT_CAP = 10**6
 
 class CapZero(QuiverError):
     """Raised when explore() is called with cap < 1."""
-
-
-class NoTreeRepresentative(QuiverError):
-    """No class member is an A/D/E tree; signals a classification bug."""
 
 
 class WitnessCheckFailed(QuiverError):
@@ -245,6 +247,57 @@ def class_fingerprint(member_keys) -> str:
     return h.hexdigest()
 
 
+def _arms_tree(arms) -> ExchangeMatrix:
+    """Paths of the given lengths glued at vertex 0, arrows pointing away."""
+    n = 1 + sum(arms)
+    b = [[0] * n for _ in range(n)]
+    v = 0
+    for length in arms:
+        tail = 0
+        for _ in range(length):
+            v += 1
+            b[tail][v], b[v][tail] = 1, -1
+            tail = v
+    return ExchangeMatrix.from_rows(b)
+
+
+@cache
+def _dynkin_anchors(n: int) -> dict[str, str]:
+    """Canonical key (hex) -> name of an orientation of each simply-laced
+    Dynkin diagram of rank n, given by its arm lengths."""
+    arms = {f"A{n}": (n - 1,)}
+    if n >= 4:
+        arms[f"D{n}"] = (1, 1, n - 3)
+    if 6 <= n <= 8:
+        arms[f"E{n}"] = (1, 2, n - 4)
+    return {canonical_key(_arms_tree(a)).hex(): name for name, a in arms.items()}
+
+
+def name_class(member_keys, anchors: dict[str, str]) -> str | None:
+    """The name of the anchor whose canonical key (hex) is among the member
+    keys of a fully enumerated class, or None.
+
+    A connected finite-type class contains every orientation of its Dynkin
+    diagram (Fomin-Zelevinsky, *Cluster algebras II*, 2003), so
+    :func:`_dynkin_anchors` names each of them.
+    """
+    for key, name in anchors.items():
+        if key in member_keys:
+            return name
+    return None
+
+
+def _finite_type_name(start: ExchangeMatrix, member_keys) -> str | None:
+    """A/D/E name of the finite-type class of ``start`` from its member keys.
+
+    None for a disconnected ``start``, whose class holds no connected anchor;
+    the check also spares building anchors (about n^3 for the path) there.
+    """
+    if not start.is_connected():
+        return None
+    return name_class(member_keys, _dynkin_anchors(start.n))
+
+
 def _infinite(max_w: int, witness, explored: int) -> MutationClassReport:
     return MutationClassReport(
         classification=Classification.INFINITE_MUTATION_TYPE,
@@ -261,8 +314,10 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
 
     ``cap`` bounds the number of canonical forms visited; hitting it without
     an infinite-type witness yields Inconclusive (never an exception).
-    Finite-type classes are named A/D/E here; finite-mutation-type classes
-    are left unnamed (see :func:`quiver_atlas.correspondence.classify_cell`).
+    Finite-type classes of a connected start are named A/D/E here, by the
+    Dynkin anchor among their member keys (:func:`name_class`);
+    finite-mutation-type classes are left unnamed (the grid anchors of
+    :func:`quiver_atlas.correspondence.name_finite_mutation_type` name them).
     """
     if cap < 1:
         raise CapZero("exploration cap must be >= 1")
@@ -275,8 +330,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     if witness is not None:
         max_w = max(max_w, _checked_replay(start, witness))
         return _infinite(max_w, witness, probed)
-    start_key = canonical_key(start)
-    seen: dict[str, ExchangeMatrix] = {start_key.hex(): start}
+    seen = {canonical_key(start).hex()}
     queue = deque([(start, ())])
     capped = False
     while queue and not capped:
@@ -302,7 +356,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
                 if len(seen) >= cap:
                     capped = True
                     break
-                seen[key] = child
+                seen.add(key)
                 queue.append((child, seq + (k,)))
     if capped:
         return MutationClassReport(
@@ -319,7 +373,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     fingerprint = class_fingerprint(member_keys)
     if max_w <= 1:
         classification = Classification.FINITE_TYPE
-        type_name = _try_name_finite_type(seen.values())
+        type_name = _finite_type_name(start, seen)
     else:
         classification = Classification.FINITE_MUTATION_TYPE
         type_name = None
@@ -333,72 +387,6 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
         member_keys=member_keys,
         fingerprint=fingerprint,
     )
-
-
-def _tree_shape_name(m: ExchangeMatrix) -> str | None:
-    """A/D/E label of a weight-1 tree quiver, or None if not such a tree."""
-    n = m.n
-    if m.max_weight() > 1:
-        return None
-    adj = [[] for _ in range(n)]
-    edges = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m.rows[i][j] != 0:
-                adj[i].append(j)
-                adj[j].append(i)
-                edges += 1
-    if edges != n - 1 or not m.is_connected():
-        return None
-    degrees = [len(a) for a in adj]
-    if any(d > 3 for d in degrees):
-        return None
-    branch_nodes = [v for v in range(n) if degrees[v] == 3]
-    if not branch_nodes:
-        return f"A{n}"
-    if len(branch_nodes) > 1:
-        return None
-    c = branch_nodes[0]
-    lengths = []
-    for start in adj[c]:
-        prev, cur, length = c, start, 1
-        while degrees[cur] == 2:
-            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
-            prev, cur = cur, nxt
-            length += 1
-        lengths.append(length)
-    lengths.sort()
-    if lengths[0] == 1 and lengths[1] == 1:
-        return f"D{n}"
-    if lengths == [1, 2, 2]:
-        return "E6"
-    if lengths == [1, 2, 3]:
-        return "E7"
-    if lengths == [1, 2, 4]:
-        return "E8"
-    return None
-
-
-def _try_name_finite_type(members) -> str | None:
-    for m in members:
-        name = _tree_shape_name(m)
-        if name is not None:
-            return name
-    return None
-
-
-def name_finite_type(members) -> str:
-    """A/D/E label of a finite-type class given its members.
-
-    Every finite-type class of a connected quiver contains an orientation of
-    its Dynkin diagram; failure to find one signals a classification bug.
-    """
-    name = _try_name_finite_type(members)
-    if name is None:
-        raise NoTreeRepresentative(
-            "no class member is a tree of A/D/E shape"
-        )
-    return name
 
 
 def report_to_dict(report: MutationClassReport) -> dict:

@@ -172,24 +172,11 @@ def check_summary_table(rows):
         dname, dcox = names(SchlafliSymbol(p, 2))
         if p > 2 and (dname, dcox) != ("dihedron", f"A1×I2({p})"):
             bad.append(f"{{{p},2}} names")
-    fixed = [
-        ((3, 3), "D4", "tetrahedron", "A3"),
-        ((3, 4), "E6", "octahedron", "BC3"),
-        ((4, 3), "E6", "cube", "BC3"),
-        ((3, 5), "E8", "icosahedron", "H3"),
-        ((5, 3), "E8", "dodecahedron", "H3"),
-        ((4, 4), "E7(1,1)", "square tiling", "C2(1)"),
-        ((3, 6), "E8(1,1)", "triangular tiling", "G2(1)"),
-        ((6, 3), "E8(1,1)", "hexagonal tiling", "G2(1)"),
-    ]
-    for (p, q), type_name, tiling_name, coxeter_name in fixed:
+    for (p, q), tiling_names in EXPECTED_TILING_NAMES.items():
         row = rows[(p, q)]
-        if row.cluster.type_name != type_name:
+        if row.cluster.type_name != expected_type_name(GrassmannianSpec(p, q)):
             bad.append(f"Gr({p},{p + q}): {row.cluster.type_name}")
-        if (row.tiling.tiling_name, row.tiling.coxeter_name) != (
-            tiling_name,
-            coxeter_name,
-        ):
+        if (row.tiling.tiling_name, row.tiling.coxeter_name) != tiling_names:
             bad.append(f"{{{p},{q}}}: {row.tiling.tiling_name}")
     return ("summary table: seven named rows", not bad, "; ".join(bad) or "ok")
 
@@ -292,7 +279,12 @@ def run_verification(
     pmax: int = 12,
     qmax: int = 12,
 ) -> list[tuple[str, bool, str]]:
-    """Run every reproduction check; returns (name, passed, detail) triples."""
+    """Run every reproduction check; returns (name, passed, detail) triples.
+
+    ValueError unless pmax, qmax >= 7: the golden tables cover 2..7.
+    """
+    if min(pmax, qmax) < 7:
+        raise ValueError(f"need pmax, qmax >= 7, got pmax={pmax}, qmax={qmax}")
     rows = compute_grid(pmax, qmax, cap=cap, workers=workers, cache_dir=cache_dir)
     return [
         check_table1(rows),

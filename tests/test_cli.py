@@ -175,17 +175,21 @@ def test_corrupt_cache_recomputes(runner, tmp_path):
     assert first.output == second.output
 
 
-def test_tampered_cache_entry_recomputes(runner, tmp_path):
+@pytest.mark.parametrize(
+    "field,value", [("class_size", 7), ("type_name", "E6")]
+)
+def test_tampered_cache_entry_recomputes(runner, tmp_path, field, value):
     args = ["explore", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)]
     first = runner.invoke(main, args)
     (path,) = tmp_path.glob("*.json")
     payload = json.loads(path.read_text())
-    payload["report"]["class_size"] += 1
+    payload["report"][field] = value
     path.write_text(json.dumps(payload))
     second = runner.invoke(main, args)
     assert second.exit_code == 0
     assert first.output == second.output
-    assert json.loads(path.read_text())["report"]["class_size"] == 6
+    report = json.loads(path.read_text())["report"]
+    assert (report["class_size"], report["type_name"]) == (6, "D4")
 
 
 def _has_heavy_component(m):

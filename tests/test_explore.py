@@ -13,10 +13,8 @@ from quiver_atlas.explore import (
     CapZero,
     Classification,
     MutationClassReport,
-    NoTreeRepresentative,
     class_fingerprint,
     explore,
-    name_finite_type,
     replay,
     WitnessCheckFailed,
     _large_component_vertices,
@@ -166,24 +164,57 @@ def test_disconnected_heavy_large_component():
     assert rep.classification is Classification.INFINITE_MUTATION_TYPE
 
 
-def test_name_finite_type_rejects_cycle_only():
-    cycle = from_matrix([[0, 1, -1], [-1, 0, 1], [1, -1, 0]])
-    with pytest.raises(NoTreeRepresentative):
-        name_finite_type([cycle])
+def _scrambled_tree(rng, arms):
+    """A random orientation and labelling of the tree of paths of the given
+    lengths glued at one vertex."""
+    n = 1 + sum(arms)
+    edges, v = [], 0
+    for length in arms:
+        tail = 0
+        for _ in range(length):
+            v += 1
+            edges.append((tail, v))
+            tail = v
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        if rng.random() < 0.5:
+            i, j = j, i
+        rows[perm[i]][perm[j]], rows[perm[j]][perm[i]] = 1, -1
+    return from_matrix(rows)
 
 
-def test_name_finite_type_shapes():
-    path = from_matrix(A3_PATH)
-    assert name_finite_type([path]) == "A3"
-    d4 = from_matrix(
-        [
-            [0, 1, 1, 1],
-            [-1, 0, 0, 0],
-            [-1, 0, 0, 0],
-            [-1, 0, 0, 0],
-        ]
-    )
-    assert name_finite_type([d4]) == "D4"
+DYNKIN_ARMS = {
+    **{f"A{n}": (n - 1,) for n in range(1, 11)},
+    **{f"D{n}": (1, 1, n - 3) for n in range(4, 10)},
+    **{f"E{n}": (1, 2, n - 4) for n in range(6, 9)},
+}
+
+
+@pytest.mark.parametrize("name", DYNKIN_ARMS)
+def test_dynkin_orientations_named(name):
+    start = _scrambled_tree(random.Random(name), DYNKIN_ARMS[name])
+    assert _tree_shape_name(start) == name
+    rep = explore(start)
+    assert rep.classification is Classification.FINITE_TYPE
+    assert rep.type_name == name
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0] * 5 for _ in range(5)],
+        [[0, 1, 0], [-1, 0, 0], [0, 0, 0]],
+    ],
+    ids=["zero", "A2+A1"],
+)
+def test_disconnected_finite_type_unnamed(rows):
+    start = from_matrix(rows)
+    rep = explore(start)
+    assert rep.classification is Classification.FINITE_TYPE
+    assert rep.type_name is None
+    assert _tree_shape_name(start) is None
 
 
 def test_name_finite_mutation_type_by_anchor():
@@ -220,7 +251,9 @@ def test_determinism_of_reports():
 # entries a mutation changes, and probes full subquivers on balls of up to
 # 12 vertices.  The reference below recomputes every score from the full
 # matrix after every mutation, with its own dense mutation, ball search and
-# component search, and must give the same reports.
+# component search, and must give the same reports.  It names a finite-type
+# class by scanning its members for an A/D/E tree, where the explorer looks
+# up Dynkin anchor keys.
 
 
 def _dense_mutate(rows, k):
@@ -330,6 +363,45 @@ def _dense_probe(rows):
     return None, examined
 
 
+def _tree_shape_name(m):
+    """A/D/E label of a weight-1 tree quiver, or None if not such a tree:
+    the reference's namer, independent of the explorer's anchor keys."""
+    n = m.n
+    if m.max_weight() > 1:
+        return None
+    adj = [[] for _ in range(n)]
+    edges = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m.rows[i][j] != 0:
+                adj[i].append(j)
+                adj[j].append(i)
+                edges += 1
+    if edges != n - 1 or not m.is_connected():
+        return None
+    degrees = [len(a) for a in adj]
+    if any(d > 3 for d in degrees):
+        return None
+    branch_nodes = [v for v in range(n) if degrees[v] == 3]
+    if not branch_nodes:
+        return f"A{n}"
+    if len(branch_nodes) > 1:
+        return None
+    c = branch_nodes[0]
+    lengths = []
+    for start in adj[c]:
+        prev, cur, length = c, start, 1
+        while degrees[cur] == 2:
+            nxt = adj[cur][0] if adj[cur][0] != prev else adj[cur][1]
+            prev, cur = cur, nxt
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    if lengths[0] == 1 and lengths[1] == 1:
+        return f"D{n}"
+    return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(lengths))
+
+
 def _dense_explore(start, cap, probe=True):
     """(report, how it ended) by full scans after every mutation."""
 
@@ -374,10 +446,7 @@ def _dense_explore(start, cap, probe=True):
                 queue.append((child, seq + (k,)))
     keys = tuple(sorted(seen))
     if max_w <= 1:
-        try:
-            name = name_finite_type(seen.values())
-        except NoTreeRepresentative:
-            name = None
+        name = next(filter(None, map(_tree_shape_name, seen.values())), None)
         kind = Classification.FINITE_TYPE
     else:
         name, kind = None, Classification.FINITE_MUTATION_TYPE

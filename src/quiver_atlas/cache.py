@@ -4,10 +4,15 @@ One JSON file per starting-quiver canonical key, named by the sha256 of the
 key bytes (keys themselves can exceed filename limits at large rank).  Each
 file stores the schema version, the start key in lowercase hex, the cap the
 report was computed at, the report, and the sorted member keys when the
-class was fully enumerated.  Corrupt files are ignored with a warning and
-the report is recomputed.  :func:`explore_classes` is the one way to a
-report through the cache: one call is one run, which explores each distinct
-class of its starts at most once.  No memo outlives a call.
+class was fully enumerated.  Loading rebuilds the report from the stored
+one and its member keys with :func:`quiver_atlas.explore.rebuild_report`,
+which derives classification, size, fingerprint and name as explore does;
+an entry that does not rebuild to itself is corrupt.  Corrupt files are
+ignored with a warning and the report is recomputed.
+
+:func:`explore_classes` is the one way to a report through the cache: one
+call is one run, which explores each distinct class of its starts at most
+once.  No memo outlives a call.
 """
 
 from __future__ import annotations
@@ -27,13 +32,11 @@ from .explore import (
     DEFAULT_CAP,
     Classification,
     MutationClassReport,
-    _finite_type_name,
-    class_fingerprint,
     explore,
-    report_from_dict,
+    rebuild_report,
     report_to_dict,
 )
-from .matrix import ExchangeMatrix, QuiverError, deserialize
+from .matrix import ExchangeMatrix, QuiverError
 
 SCHEMA_VERSION = 1
 
@@ -82,9 +85,8 @@ def load_report(
 ) -> MutationClassReport | None:
     """Load a cached report, or None on miss / cap-incompatible entry.
 
-    Raises CacheCorrupt on unreadable or inconsistent files, including a
-    class size, fingerprint or type name that does not match the stored
-    member keys (the name is re-derived as explore derives it).
+    Raises CacheCorrupt on unreadable files and on entries whose report
+    does not rebuild to itself (:func:`rebuild_report`).
     """
     path = cache_path(cache_dir, key)
     if not path.exists():
@@ -95,20 +97,7 @@ def load_report(
             raise CacheCorrupt(f"unknown schema version in {path}")
         if payload["start_key"] != key.hex():
             raise CacheCorrupt(f"start key mismatch in {path}")
-        report = report_from_dict(payload["report"], payload["member_keys"])
-        keys = report.member_keys
-        expected = (None, None) if keys is None else (
-            len(keys), class_fingerprint(keys)
-        )
-        if (report.class_size, report.fingerprint) != expected:
-            raise CacheCorrupt(f"class size or fingerprint mismatch in {path}")
-        # explore names finite-type classes only
-        name = None
-        if report.classification is Classification.FINITE_TYPE:
-            start = deserialize(key.data.decode("ascii"))
-            name = _finite_type_name(start, keys)
-        if report.type_name != name:
-            raise CacheCorrupt(f"type name mismatch in {path}")
+        report = rebuild_report(key.n, payload["report"], payload["member_keys"])
         # an inconclusive report does not answer a larger cap, which may
         # resolve the class
         stale = (
@@ -117,8 +106,8 @@ def load_report(
         )
     except CacheCorrupt:
         raise
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise CacheCorrupt(f"unreadable cache file {path}: {e}") from e
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise CacheCorrupt(f"corrupt cache file {path}: {e}") from e
     return None if stale else report
 
 

@@ -17,15 +17,11 @@ the node's individualised vertices, is skipped.  A skipped subtree is an
 image of an explored one and children are visited in index order, so the
 first smallest leaf, and with it the key and the returned permutation, is
 the one the unpruned search finds.
-
-``brute_force_isomorphic`` searches all n! permutations, as an oracle for
-tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .matrix import ExchangeMatrix, _rows_json
 
@@ -177,17 +173,3 @@ def is_isomorphic(m1: ExchangeMatrix, m2: ExchangeMatrix) -> bool:
     if m1.n != m2.n:
         return False
     return canonical_key(m1).data == canonical_key(m2).data
-
-
-def brute_force_isomorphic(m1: ExchangeMatrix, m2: ExchangeMatrix) -> bool:
-    """Reference oracle: search all n! permutations for an isomorphism."""
-    if m1.n != m2.n:
-        return False
-    n = m1.n
-    a, b = m1.rows, m2.rows
-    for perm in permutations(range(n)):
-        if all(
-            a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)
-        ):
-            return True
-    return False

@@ -44,6 +44,12 @@ def _cache_opts(f):
     return f
 
 
+def _cell_opts(f):
+    for name in ("--q", "--p"):  # applied innermost first: --p lists first
+        f = click.option(name, type=click.IntRange(min=2), required=True)(f)
+    return f
+
+
 _cap_opt = click.option(
     "--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True
 )
@@ -53,12 +59,25 @@ _workers_opt = click.option(
     default=lambda: os.cpu_count() or 1,
     help="Processes that explore distinct classes (default: available parallelism).",
 )
+_format_opt = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["markdown", "csv", "json"]),
+    default="markdown",
+    show_default=True,
+)
 
 
 def _resolve_cache(cache_dir, no_cache):
     if no_cache:
         return None
     return Path(cache_dir) if cache_dir is not None else default_cache_dir()
+
+
+def _exit_code(rows) -> int:
+    if any(r.cluster.classification is Classification.INCONCLUSIVE for r in rows):
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK if all(r.match for r in rows) else EXIT_MISMATCH
 
 
 @click.group()
@@ -68,26 +87,16 @@ def main():
 
 
 @main.command()
-@click.option("--p", "p", type=click.IntRange(min=2), required=True)
-@click.option("--q", "q", type=click.IntRange(min=2), required=True)
+@_cell_opts
 @_cap_opt
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["markdown", "csv", "json"]),
-    default="markdown",
-    show_default=True,
-)
+@_format_opt
 @_cache_opts
 def classify(p, q, cap, fmt, cache_dir, no_cache):
     """Classify one cell on both sides and report whether they agree."""
     cache = _resolve_cache(cache_dir, no_cache)
     row = classify_cell(p, q, cap=cap, cache_dir=cache)
     click.echo(render_rows([row_to_dict(row)], fmt), nl=False)
-    if row.cluster.classification is Classification.INCONCLUSIVE:
-        sys.exit(EXIT_INCONCLUSIVE)
-    if not row.match:
-        sys.exit(EXIT_MISMATCH)
+    sys.exit(_exit_code([row]))
 
 
 @main.command()
@@ -95,13 +104,7 @@ def classify(p, q, cap, fmt, cache_dir, no_cache):
 @click.option("--qmax", type=click.IntRange(min=2), default=7, show_default=True)
 @_cap_opt
 @_workers_opt
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["markdown", "csv", "json"]),
-    default="markdown",
-    show_default=True,
-)
+@_format_opt
 @_cache_opts
 def table(pmax, qmax, cap, workers, fmt, cache_dir, no_cache):
     """Reproduce the classification table over the whole grid."""
@@ -116,15 +119,11 @@ def table(pmax, qmax, cap, workers, fmt, cache_dir, no_cache):
         if r.cluster.classification is Classification.INCONCLUSIVE
     )
     click.echo(f"mismatches: {mismatches}  inconclusive: {inconclusive}", err=True)
-    if inconclusive:
-        sys.exit(EXIT_INCONCLUSIVE)
-    if mismatches:
-        sys.exit(EXIT_MISMATCH)
+    sys.exit(_exit_code(ordered))
 
 
 @main.command()
-@click.option("--p", "p", type=click.IntRange(min=2), required=True)
-@click.option("--q", "q", type=click.IntRange(min=2), required=True)
+@_cell_opts
 @click.option(
     "--format",
     "fmt",
@@ -142,8 +141,7 @@ def quiver(p, q, fmt):
 
 
 @main.command("explore")
-@click.option("--p", "p", type=click.IntRange(min=2), required=True)
-@click.option("--q", "q", type=click.IntRange(min=2), required=True)
+@_cell_opts
 @_cap_opt
 @_cache_opts
 def explore_cmd(p, q, cap, cache_dir, no_cache):

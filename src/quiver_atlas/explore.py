@@ -38,6 +38,11 @@ A class is named by :func:`name_class`, after the anchor quiver whose
 canonical key is among its member keys: here a Dynkin diagram for finite
 type, in :mod:`quiver_atlas.correspondence` a grid quiver for finite
 mutation type.
+
+Each kind of report has one constructor, used at every exit of
+:func:`explore`; :func:`rebuild_report` rebuilds a stored report through
+the same constructors, so the cache re-validates an entry against the
+contract that produced it.
 """
 
 from __future__ import annotations
@@ -279,7 +284,8 @@ def name_class(member_keys, anchors: dict[str, str]) -> str | None:
 
     A connected finite-type class contains every orientation of its Dynkin
     diagram (Fomin-Zelevinsky, *Cluster algebras II*, 2003), so
-    :func:`_dynkin_anchors` names each of them.
+    :func:`_dynkin_anchors` names each of them.  Anchors are connected, so
+    a disconnected class stays unnamed.
     """
     for key, name in anchors.items():
         if key in member_keys:
@@ -287,15 +293,25 @@ def name_class(member_keys, anchors: dict[str, str]) -> str | None:
     return None
 
 
-def _finite_type_name(start: ExchangeMatrix, member_keys) -> str | None:
-    """A/D/E name of the finite-type class of ``start`` from its member keys.
-
-    None for a disconnected ``start``, whose class holds no connected anchor;
-    the check also spares building anchors (about n^3 for the path) there.
-    """
-    if not start.is_connected():
-        return None
-    return name_class(member_keys, _dynkin_anchors(start.n))
+def _enumerated(n: int, member_keys, max_w: int) -> MutationClassReport:
+    """Report of a fully enumerated class of rank n: finite type iff every
+    member has weights <= 1, and then named A/D/E by :func:`name_class`."""
+    keys = tuple(sorted(member_keys))
+    finite = max_w <= 1
+    return MutationClassReport(
+        classification=(
+            Classification.FINITE_TYPE
+            if finite
+            else Classification.FINITE_MUTATION_TYPE
+        ),
+        class_size=len(keys),
+        max_weight_seen=max_w,
+        infinite_witness=None,
+        type_name=name_class(keys, _dynkin_anchors(n)) if finite else None,
+        explored=len(keys),
+        member_keys=keys,
+        fingerprint=class_fingerprint(keys),
+    )
 
 
 def _infinite(max_w: int, witness, explored: int) -> MutationClassReport:
@@ -309,13 +325,25 @@ def _infinite(max_w: int, witness, explored: int) -> MutationClassReport:
     )
 
 
+def _inconclusive(max_w: int, explored: int) -> MutationClassReport:
+    return MutationClassReport(
+        classification=Classification.INCONCLUSIVE,
+        class_size=None,
+        max_weight_seen=max_w,
+        infinite_witness=None,
+        type_name=None,
+        explored=explored,
+    )
+
+
 def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassReport:
     """Enumerate the mutation class of ``start`` up to isomorphism.
 
     ``cap`` bounds the number of canonical forms visited; hitting it without
     an infinite-type witness yields Inconclusive (never an exception).
-    Finite-type classes of a connected start are named A/D/E here, by the
-    Dynkin anchor among their member keys (:func:`name_class`);
+    Each exit builds its report with the constructor of its kind, which
+    :func:`rebuild_report` shares.  A finite-type class is named A/D/E by
+    the Dynkin anchor among its member keys (:func:`name_class`);
     finite-mutation-type classes are left unnamed (the grid anchors of
     :func:`quiver_atlas.correspondence.name_finite_mutation_type` name them).
     """
@@ -332,8 +360,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
         return _infinite(max_w, witness, probed)
     seen = {canonical_key(start).hex()}
     queue = deque([(start, ())])
-    capped = False
-    while queue and not capped:
+    while queue:
         m, seq = queue.popleft()
         last = seq[-1] if seq else -1
         for k in range(n):
@@ -354,39 +381,10 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
             key = canonical_key(child).hex()
             if key not in seen:
                 if len(seen) >= cap:
-                    capped = True
-                    break
+                    return _inconclusive(max_w, len(seen))
                 seen.add(key)
                 queue.append((child, seq + (k,)))
-    if capped:
-        return MutationClassReport(
-            classification=Classification.INCONCLUSIVE,
-            class_size=None,
-            max_weight_seen=max_w,
-            infinite_witness=None,
-            type_name=None,
-            explored=len(seen),
-            member_keys=None,
-            fingerprint=None,
-        )
-    member_keys = tuple(sorted(seen))
-    fingerprint = class_fingerprint(member_keys)
-    if max_w <= 1:
-        classification = Classification.FINITE_TYPE
-        type_name = _finite_type_name(start, seen)
-    else:
-        classification = Classification.FINITE_MUTATION_TYPE
-        type_name = None
-    return MutationClassReport(
-        classification=classification,
-        class_size=len(seen),
-        max_weight_seen=max_w,
-        infinite_witness=None,
-        type_name=type_name,
-        explored=len(seen),
-        member_keys=member_keys,
-        fingerprint=fingerprint,
-    )
+    return _enumerated(n, seen, max_w)
 
 
 def report_to_dict(report: MutationClassReport) -> dict:
@@ -405,18 +403,23 @@ def report_to_dict(report: MutationClassReport) -> dict:
     }
 
 
-def report_from_dict(data: dict, member_keys=None) -> MutationClassReport:
-    return MutationClassReport(
-        classification=Classification(data["classification"]),
-        class_size=data["class_size"],
-        max_weight_seen=data["max_weight_seen"],
-        infinite_witness=(
-            tuple(data["infinite_witness"])
-            if data["infinite_witness"] is not None
-            else None
-        ),
-        type_name=data["type_name"],
-        explored=data["explored"],
-        member_keys=tuple(member_keys) if member_keys is not None else None,
-        fingerprint=data["fingerprint"],
-    )
+def rebuild_report(n: int, data: dict, member_keys) -> MutationClassReport:
+    """The report of rank n that ``data``, a :func:`report_to_dict` dict,
+    and ``member_keys`` (None unless the class was enumerated) stand for.
+
+    The report is rebuilt as :func:`explore` builds it, so a fully
+    enumerated class gets its classification, size, fingerprint and name
+    from its member keys and largest weight.  Raises ValueError unless
+    the rebuilt report gives back ``data``.
+    """
+    max_w = data["max_weight_seen"]
+    if member_keys is not None:
+        report = _enumerated(n, member_keys, max_w)
+    elif data["infinite_witness"] is not None:
+        witness = tuple(data["infinite_witness"])
+        report = _infinite(max_w, witness, data["explored"])
+    else:
+        report = _inconclusive(max_w, data["explored"])
+    if report_to_dict(report) != data:
+        raise ValueError("stored report does not rebuild to itself")
+    return report

@@ -14,11 +14,7 @@ import time
 
 import pytest
 
-from quiver_atlas.canonical import (
-    brute_force_isomorphic,
-    canonical_key,
-    is_isomorphic,
-)
+from quiver_atlas.canonical import canonical_key, is_isomorphic
 from quiver_atlas.explore import Classification, explore
 from quiver_atlas.grassmannian import (
     GrassmannianSpec,
@@ -46,6 +42,7 @@ from quiver_atlas.verify import (
 
 from conftest import GOLDEN_CLASS_SIZES
 from test_matrix import random_quiver
+from test_oracles import brute_force_isomorphic
 
 
 def report(criterion, ok, detail=""):

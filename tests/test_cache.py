@@ -1,6 +1,7 @@
 """One batch call per run: disk cache, cap rule, labels and pool."""
 
 import json
+import logging
 import os
 
 import pytest
@@ -17,6 +18,7 @@ from quiver_atlas.canonical import canonical_form, canonical_key
 from quiver_atlas.correspondence import classify_cell
 from quiver_atlas.explore import DEFAULT_CAP, Classification, explore, replay
 from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
+from quiver_atlas.matrix import ExchangeMatrix
 from quiver_atlas.verify import compute_grid
 
 EXPLORE_LOG = "QUIVER_ATLAS_TEST_EXPLORE_LOG"
@@ -153,3 +155,35 @@ def test_entry_without_cap_is_corrupt(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheCorrupt):
         load_report(tmp_path, key, DEFAULT_CAP)
+
+
+def test_malformed_member_keys_recompute(tmp_path, caplog):
+    start = initial_quiver(GrassmannianSpec(3, 3))
+    key = canonical_key(start)
+    [report] = explore_classes([start], cache_dir=tmp_path)
+    path = cache_path(tmp_path, key)
+    payload = json.loads(path.read_text())
+    payload["member_keys"] = [1, 2, 3, 4, 5, 6]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheCorrupt):
+        load_report(tmp_path, key, DEFAULT_CAP)
+    with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
+        assert explore_classes([start], cache_dir=tmp_path) == [report]
+    assert len(caplog.records) == 1
+    assert load_report(tmp_path, key, DEFAULT_CAP) == report
+
+
+def test_disconnected_finite_class_through_cache(tmp_path, caplog, explored):
+    rows = [[0] * 5 for _ in range(5)]
+    for i, j in [(0, 1), (2, 3), (3, 4)]:  # A2 and A3, disjoint
+        rows[i][j], rows[j][i] = 1, -1
+    start = ExchangeMatrix.from_rows(rows).permuted([3, 0, 4, 1, 2])
+    with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
+        [cold] = explore_classes([start], cache_dir=tmp_path)
+        [warm] = explore_classes([start], cache_dir=tmp_path)
+    assert not caplog.records
+    assert len(explored()) == 1
+    assert warm == cold
+    assert cold.classification is Classification.FINITE_TYPE
+    assert cold.class_size == 4
+    assert cold.type_name is None

@@ -10,7 +10,6 @@ from quiver_atlas import canonical
 from quiver_atlas.canonical import (
     _flat_to_bytes,
     _refine,
-    brute_force_isomorphic,
     canonical_form,
     canonical_key,
     is_isomorphic,
@@ -18,6 +17,7 @@ from quiver_atlas.canonical import (
 from quiver_atlas.matrix import from_matrix
 
 from test_matrix import A3_PATH, MARKOV, random_quiver
+from test_oracles import brute_force_isomorphic
 
 CYCLE3 = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 STAR_SOURCE = [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]  # 1 <- 0 -> 2

@@ -176,7 +176,8 @@ def test_corrupt_cache_recomputes(runner, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("class_size", 7), ("type_name", "E6")]
+    "field,value",
+    [("class_size", 7), ("type_name", "E6"), ("explored", 5), ("max_weight_seen", 2)],
 )
 def test_tampered_cache_entry_recomputes(runner, tmp_path, field, value):
     args = ["explore", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)]

@@ -10,6 +10,9 @@ The A_n classes are counted without quivers at all: the quivers
 mutation-equivalent to A_n correspond one-to-one to the triangulations of an
 (n+3)-gon up to rotation (Caldero-Chapoton-Schiffler; Torkildsen, Counting
 cluster-tilted algebras of type A_n, 2008).
+
+``brute_force_isomorphic`` searches all n! permutations, as the isomorphism
+oracle of the canonical-form tests.
 """
 
 from collections import defaultdict, deque
@@ -25,6 +28,20 @@ from quiver_atlas.matrix import from_matrix
 
 from conftest import GOLDEN_CLASS_SIZES
 from test_matrix import A3_PATH
+
+
+def brute_force_isomorphic(m1, m2):
+    """Reference oracle: search all n! permutations for an isomorphism."""
+    if m1.n != m2.n:
+        return False
+    n = m1.n
+    a, b = m1.rows, m2.rows
+    for perm in permutations(range(n)):
+        if all(
+            a[i][j] == b[perm[i]][perm[j]] for i in range(n) for j in range(n)
+        ):
+            return True
+    return False
 
 
 def factorial_min_key(m):

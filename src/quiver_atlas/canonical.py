@@ -9,6 +9,14 @@ smallest is chosen, so the resulting key is deterministic across runs and
 platforms, invariant under vertex relabeling, and equal keys imply isomorphic
 quivers.
 
+A refinement round only splits cells and keeps their order, since a
+vertex's signature starts with its own color.  So a round that leaves the
+number of cells unchanged has relabelled the colors by a strictly
+increasing map, and the next round would return the same colors again:
+refinement stops there, one round before the colors repeat.  Each vertex's
+nonzero (neighbour, weight) pairs are listed once per canonical form rather
+than read off full rows every round.
+
 The backtracking prunes automorphic branches (McKay and Piperno, *Practical
 graph isomorphism II*, 2014).  Automorphisms come from twin vertices
 (identical rows) and from pairs of leaves with equal serializations; a child
@@ -22,6 +30,8 @@ the one the unpruned search finds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .matrix import ExchangeMatrix, _rows_json
 
@@ -38,25 +48,30 @@ class QuiverKey:
         return self.data.hex()
 
 
-def _refine(rows, colors, n):
+def _neighbours(rows, n):
+    """Per vertex, the (w, b_vw) of its nonzero entries, in index order."""
+    return [[(w, x) for w, x in enumerate(rows[v]) if x] for v in range(n)]
+
+
+def _refine(nbrs, colors, n):
     """Iterate neighborhood-signature coloring to a fixed point.
 
-    Colors are normalized to ranks of sorted signatures each round, so the
-    result depends only on the quiver up to relabeling.
+    ``nbrs`` is :func:`_neighbours` of the rows.  Colors are normalized to
+    ranks of sorted signatures each round, so the result depends only on the
+    quiver up to relabeling.  The first round that leaves the number of
+    cells unchanged has reached the fixed point (see the module docstring).
     """
+    cells = len(set(colors))
     while True:
-        sigs = []
-        for v in range(n):
-            rv = rows[v]
-            nb = sorted(
-                (colors[w], rv[w]) for w in range(n) if rv[w] != 0
-            )
-            sigs.append((colors[v], tuple(nb)))
+        sigs = [
+            (colors[v], tuple(sorted([(colors[w], x) for w, x in nbrs[v]])))
+            for v in range(n)
+        ]
         ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple(ranks[s] for s in sigs)
-        if new == colors:
-            return colors
-        colors = new
+        new = tuple([ranks[s] for s in sigs])
+        if len(ranks) == cells:
+            return new
+        colors, cells = new, len(ranks)
 
 
 def _twin_swaps(rows, n):
@@ -91,7 +106,9 @@ def _canonical_flat(rows, n):
         inv = [0] * n
         for v, c in enumerate(colors):
             inv[c] = v
-        flat = tuple(rows[inv[i]][inv[j]] for i in range(n) for j in range(n))
+        # n >= 2 here (n = 1 is a zero matrix): itemgetter returns tuples
+        pick = itemgetter(*inv)
+        flat = tuple(chain.from_iterable(map(pick, pick(rows))))
         if best_flat is None or flat < best_flat:
             best_flat, best_perm, best_inv = flat, colors, inv
         elif flat == best_flat:
@@ -101,7 +118,7 @@ def _canonical_flat(rows, n):
             autos.append(g)
 
     def search(colors, fixed):
-        colors = _refine(rows, colors, n)
+        colors = _refine(nbrs, colors, n)
         # target cell: lowest color class that is not a singleton
         counts = [0] * n
         for c in colors:
@@ -146,6 +163,7 @@ def _canonical_flat(rows, n):
     if all(x == 0 for row in rows for x in row):
         # zero matrix: every labeling gives the same key; keep the identity
         return tuple(0 for _ in range(n * n)), tuple(range(n))
+    nbrs = _neighbours(rows, n)
     search((0,) * n, ())
     return best_flat, tuple(best_perm)
 

@@ -23,6 +23,17 @@ searches rest on invariants of Fomin-Zelevinsky mutation at k:
   of the mutated quiver is the full subquiver on S mutated at k, so a
   probe witness found on a subquiver is a witness for the whole quiver.
 
+The closure canonicalises each distinct child once per BFS level.  Two
+mutations at vertices j, k with b_jk = 0 commute, mu_j mu_k = mu_k mu_j
+(the squares of the exchange graph, Fomin-Zelevinsky, *Cluster algebras
+II*), so two parents on one level often produce the same child rows.
+Rows equal to rows already met on the level, packed one signed byte per
+entry, skip :func:`canonical_key`: their key is already in the seen set
+and their weights were folded into the largest weight before the check.
+Only exact duplicates are skipped, so keys, ``explored`` and the cap are
+what the unmemoised closure gives.  The memo is emptied at each new level,
+so it never holds more than one level's children.
+
 A probe miss is never a wrong answer, but it costs time.  On a
 mutation-finite quiver of more than PROBE_BALL vertices the probe tries up
 to one ball per vertex before the closure starts, less the balls whose
@@ -48,6 +59,7 @@ contract that produced it.
 from __future__ import annotations
 
 import hashlib
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -360,8 +372,12 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
         return _infinite(max_w, witness, probed)
     seen = {canonical_key(start).hex()}
     queue = deque([(start, ())])
+    level, met = 0, set()  # child rows met from parents of this BFS level
     while queue:
         m, seq = queue.popleft()
+        if len(seq) != level:
+            level = len(seq)
+            met.clear()
         last = seq[-1] if seq else -1
         for k in range(n):
             if k == last:
@@ -378,6 +394,13 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
                 witness = seq + (k,)
                 _checked_replay(start, witness)
                 return _infinite(max_w, witness, len(seen))
+            try:  # one signed byte per entry keeps the memo small
+                packed = array("b", chain.from_iterable(crows)).tobytes()
+            except OverflowError:
+                packed = crows
+            if packed in met:
+                continue  # same rows, so same key, already in seen
+            met.add(packed)
             key = canonical_key(child).hex()
             if key not in seen:
                 if len(seen) >= cap:

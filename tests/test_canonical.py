@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from quiver_atlas import canonical
 from quiver_atlas.canonical import (
     _flat_to_bytes,
+    _neighbours,
     _refine,
     canonical_form,
     canonical_key,
@@ -112,6 +113,22 @@ def test_key_bytes_are_compact_json_rows():
     assert from_matrix(A3_PATH).serialize() == "[[0,1,0],[-1,0,1],[0,-1,0]]"
 
 
+@pytest.mark.parametrize(
+    "rows,key,perm",
+    [
+        ([[0]], b"[[0]]", (0,)),
+        ([[0, 1], [-1, 0]], b"[[0,-1],[1,0]]", (1, 0)),
+        ([[0, -1], [1, 0]], b"[[0,-1],[1,0]]", (0, 1)),
+    ],
+    ids=["zero-1x1", "A2", "A2-reversed"],
+)
+def test_smallest_forms_pinned(rows, key, perm):
+    # n = 1 takes the zero-matrix shortcut; n = 2 is the smallest leaf
+    got_key, got_perm = canonical_form(from_matrix(rows))
+    assert got_key.data == key
+    assert got_perm == perm
+
+
 # --- symmetric families: refinement leaves big cells, backtracking decides ---
 
 A2 = [[0, 1], [-1, 0]]
@@ -160,6 +177,43 @@ def relabel(rng, m):
     return m.permuted(perm)
 
 
+def full_scan_refine(rows, colors, n):
+    """Iterate neighborhood-signature coloring to a fixed point.
+
+    Colors are normalized to ranks of sorted signatures each round, so the
+    result depends only on the quiver up to relabeling.
+    """
+    while True:
+        sigs = []
+        for v in range(n):
+            rv = rows[v]
+            nb = sorted(
+                (colors[w], rv[w]) for w in range(n) if rv[w] != 0
+            )
+            sigs.append((colors[v], tuple(nb)))
+        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = tuple(ranks[s] for s in sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def test_refine_matches_full_scan_refine():
+    # the oracle scans full rows and stops only when a round changes nothing
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        rows = random_quiver(rng, n, -3, 3).rows
+        nbrs = _neighbours(rows, n)
+        zero = (0,) * n
+        fixed = full_scan_refine(rows, zero, n)
+        assert _refine(nbrs, zero, n) == fixed
+        v = rng.randrange(n)
+        for colors in (zero, fixed):
+            colors = tuple(-1 if w == v else c for w, c in enumerate(colors))
+            assert _refine(nbrs, colors, n) == full_scan_refine(rows, colors, n)
+
+
 def unpruned_flat(rows, n):
     """The backtracking search with no automorphism pruning.
 
@@ -170,7 +224,7 @@ def unpruned_flat(rows, n):
     best_perm = None
 
     def search(colors):
-        colors = _refine(rows, colors, n)
+        colors = full_scan_refine(rows, colors, n)
         counts = [0] * n
         for c in colors:
             counts[c] += 1

@@ -1,6 +1,7 @@
 import importlib
 import random
 from collections import deque
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ from quiver_atlas.correspondence import (
     name_finite_mutation_type,
 )
 from quiver_atlas.explore import (
+    DEFAULT_CAP,
     CapZero,
     Classification,
     MutationClassReport,
@@ -17,6 +19,7 @@ from quiver_atlas.explore import (
     explore,
     replay,
     WitnessCheckFailed,
+    _dynkin_anchors,
     _large_component_vertices,
     _witness_probe,
     report_to_dict,
@@ -402,8 +405,12 @@ def _tree_shape_name(m):
     return {(1, 2, 2): "E6", (1, 2, 3): "E7", (1, 2, 4): "E8"}.get(tuple(lengths))
 
 
-def _dense_explore(start, cap, probe=True):
-    """(report, how it ended) by full scans after every mutation."""
+def _dense_explore(start, cap, probe=True, mutate=_dense_mutate):
+    """(report, how it ended) by full scans after every mutation.
+
+    The closure mutates with ``mutate`` and canonicalises every child it
+    generates: it keeps no memo of child rows.
+    """
 
     def infinite(max_w, witness, explored):
         return MutationClassReport(
@@ -430,7 +437,7 @@ def _dense_explore(start, cap, probe=True):
         for k in range(n):
             if seq and k == seq[-1]:
                 continue
-            child = _dense_mutate(m, k)
+            child = mutate(m, k)
             max_w = max(max_w, _dense_max_weight(child))
             if _dense_heavy(child):
                 return infinite(max_w, seq + (k,), len(seen)), "bfs"
@@ -455,6 +462,89 @@ def _dense_explore(start, cap, probe=True):
         class_fingerprint(keys),
     )
     return report, kind.value
+
+
+# --- the child-rows memo ---------------------------------------------------
+#
+# explore skips canonical_key for child rows already met on the same BFS
+# level.  The reference below is the dense one with the library's mutation:
+# it shares only canonical_key and mutate with explore and canonicalises
+# every child, so any child the memo wrongly skips shows as a report change.
+
+
+def _library_mutate(rows, k):
+    return ExchangeMatrix(rows).mutate(k).rows
+
+
+def _assert_same_as_unmemoised(start, cap):
+    expected, ending = _dense_explore(start, cap, mutate=_library_mutate)
+    got = explore(start, cap=cap)
+    assert report_to_dict(got) == report_to_dict(expected)
+    assert got.member_keys == expected.member_keys
+    return ending
+
+
+def _random_tree_quiver(rng, n):
+    """A random oriented tree on n vertices: of finite type, with a class
+    larger than a cap of 50 from rank 6 on."""
+    rows = [[0] * n for _ in range(n)]
+    for v in range(1, n):
+        u, w = rng.randrange(v), rng.choice((1, -1))
+        rows[u][v], rows[v][u] = w, -w
+    return from_matrix(rows)
+
+
+def test_explore_matches_unmemoised_reference_random():
+    rng = random.Random(1200)
+    endings = set()
+    for _ in range(40):
+        n = rng.randint(3, 7)
+        if rng.random() < 0.5:
+            start = _random_tree_quiver(rng, n)
+        else:
+            start = random_quiver(rng, n, *rng.choice([(-1, 1), (-2, 2)]))
+        for cap in (1, 50, 2000):
+            endings.add(_assert_same_as_unmemoised(start, cap))
+    assert endings >= {"probe", "cap", "finite", "finite-mutation"}
+
+
+SMALL_GRID_CELLS = [
+    (p, q)
+    for p in range(2, 11)
+    for q in range(2, 11)
+    if (p - 1) * (q - 1) <= 9
+]
+
+
+@pytest.mark.parametrize("p,q", SMALL_GRID_CELLS)
+def test_explore_matches_unmemoised_reference_grid(p, q):
+    start = initial_quiver(GrassmannianSpec(p, q))
+    children = 0
+
+    def counted_mutate(rows, k):
+        nonlocal children
+        children += 1
+        return _library_mutate(rows, k)
+
+    expected, _ = _dense_explore(start, DEFAULT_CAP, mutate=counted_mutate)
+    _dynkin_anchors(start.n)  # cached: name lookups make no calls below
+    explore_module = importlib.import_module("quiver_atlas.explore")
+    calls = 0
+    key_of = explore_module.canonical_key
+
+    def counted_key(m):
+        nonlocal calls
+        calls += 1
+        return key_of(m)
+
+    with mock.patch.object(explore_module, "canonical_key", counted_key):
+        got = explore(start)
+    assert report_to_dict(got) == report_to_dict(expected)
+    assert got.member_keys == expected.member_keys
+    assert calls <= 1 + children  # the start, then at most one per child
+    if (p, q) == (3, 5):
+        # commuting mutations make repeated children on E8's levels
+        assert calls < children
 
 
 def _mixed_quiver(rng):

@@ -85,6 +85,9 @@ def load_report(
 ) -> MutationClassReport | None:
     """Load a cached report, or None on miss / cap-incompatible entry.
 
+    A report stored at cap s answers cap c only where explore(start, c)
+    gives the same report: when c == s, or when the report is not
+    inconclusive and either c > s or it explored at most c quivers.
     Raises CacheCorrupt on unreadable files and on entries whose report
     does not rebuild to itself (:func:`rebuild_report`).
     """
@@ -98,17 +101,16 @@ def load_report(
         if payload["start_key"] != key.hex():
             raise CacheCorrupt(f"start key mismatch in {path}")
         report = rebuild_report(key.n, payload["report"], payload["member_keys"])
-        # an inconclusive report does not answer a larger cap, which may
-        # resolve the class
-        stale = (
-            payload["cap"] < cap
-            and report.classification is Classification.INCONCLUSIVE
+        stored_cap = payload["cap"]
+        fits = stored_cap == cap or (
+            report.classification is not Classification.INCONCLUSIVE
+            and (cap > stored_cap or report.explored <= cap)
         )
     except CacheCorrupt:
         raise
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         raise CacheCorrupt(f"corrupt cache file {path}: {e}") from e
-    return None if stale else report
+    return report if fits else None
 
 
 def explore_classes(
@@ -122,10 +124,11 @@ def explore_classes(
     Each start is canonicalised once, so isomorphic starts share one class
     and the result never depends on which labelling came first.  Each
     distinct class is read from the on-disk cache under ``cache_dir`` (when
-    given) or else explored from its canonical relabelling and stored; with
-    ``workers`` > 1 and more than one class to explore, the explores run in
-    a pool of that many ``spawn`` processes.  Witnesses are translated back
-    into each start's vertex labels.
+    given, and only if the stored report is the one explore would give at
+    ``cap``, see :func:`load_report`) or else explored from its canonical
+    relabelling and stored; with ``workers`` > 1 and more than one class to
+    explore, the explores run in a pool of that many ``spawn`` processes.
+    Witnesses are translated back into each start's vertex labels.
     """
     forms = [(start, *canonical_form(start)) for start in starts]
     reports: dict[bytes, MutationClassReport | None] = {}

@@ -15,10 +15,11 @@ each ball of up to PROBE_BALL vertices (:func:`_witness_probe`).  Both
 searches rest on invariants of Fomin-Zelevinsky mutation at k:
 
 * connected components never change, so "lies in a component of >= 3
-  vertices" is computed once per call;
-* only the entries b_ij with i -> k -> j change in absolute value (row and
-  column k merely change sign), so the closure's heavy test and the largest
-  weight seen are updated from those O(deg(k)^2) entries;
+  vertices" is computed once per call, and a quiver is heavy iff a row of
+  such a vertex has an entry >= 3 (skew-symmetry puts every |b_ij| >= 3 in
+  row i or row j, and i and j share a component);
+* only the rows of k's neighbours change (row k merely changes sign), so
+  the closure's heavy test and the largest weight seen read those rows;
 * mutation commutes with restriction: for k in a vertex set S, the S-block
   of the mutated quiver is the full subquiver on S mutated at k, so a
   probe witness found on a subquiver is a witness for the whole quiver.
@@ -41,9 +42,9 @@ subquiver equals, row for row, one already tried: on the grid starts of A20
 and A30 the same 7116 quivers, about 0.2 s on 2 vCPUs.  Such a closure
 exceeds the default cap anyway.
 
-The start quiver and every returned witness are checked independently, by
-the full scan of :func:`_has_heavy_component` (the witness after replaying
-it from the start).
+Every witness the probe or the closure finds is checked independently, by
+replaying it from the start and scanning the end with
+:func:`_has_heavy_component`.
 
 A class is named by :func:`name_class`, after the anchor quiver whose
 canonical key is among its member keys: here a Dynkin diagram for finite
@@ -115,21 +116,8 @@ def _has_heavy_component(m: ExchangeMatrix) -> bool:
     The weight criterion for infinite mutation type is false at rank 2, so
     heavy edges in 2-vertex components are ignored.
     """
-    n = m.n
-    heavy = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if abs(m.rows[i][j]) >= 3
-    ]
-    if not heavy:
-        return False
-    comps = m.components()
-    size_of = {}
-    for comp in comps:
-        for v in comp:
-            size_of[v] = len(comp)
-    return any(size_of[i] >= 3 for i, _ in heavy)
+    rows = compress(m.rows, _large_component_vertices(m))
+    return max(map(max, rows), default=0) >= 3
 
 
 def replay(start: ExchangeMatrix, witness) -> ExchangeMatrix:
@@ -151,18 +139,6 @@ def _large_component_vertices(m: ExchangeMatrix) -> list[bool]:
     return large
 
 
-def _through(row_k) -> tuple[list[int], list[int]]:
-    """(sources i of arrows i -> k, targets j of arrows k -> j), from row k.
-
-    Mutation at k changes |b_ij| only for i -> k -> j; every other entry
-    keeps its absolute value.
-    """
-    neighbours = list(compress(range(len(row_k)), row_k))
-    into = [i for i in neighbours if row_k[i] < 0]
-    out = [j for j in neighbours if row_k[j] > 0]
-    return into, out
-
-
 def _ball(m: ExchangeMatrix, v: int) -> list[int]:
     """The first PROBE_BALL vertices of a breadth-first search from v,
     neighbours visited in index order."""
@@ -177,10 +153,11 @@ def _ball(m: ExchangeMatrix, v: int) -> list[int]:
 
 
 def _beam_search(start: ExchangeMatrix) -> tuple[tuple[int, ...] | None, int]:
-    """Beam search over mutation sequences of ``start`` for a heavy
-    component, scored by (max weight, sum of squared entries); both grow
-    along mutation-infinite directions.  Returns (witness, quivers
-    examined)."""
+    """Beam search over mutation sequences of ``start`` for an edge of
+    weight >= 3, scored by (max weight, sum of squared entries); both grow
+    along mutation-infinite directions.  ``start`` is a ball's subquiver,
+    connected on >= 3 vertices as are its mutations, so such an edge is a
+    heavy component.  Returns (witness, quivers examined)."""
     beam = [(start, ())]
     seen = {start.rows}
     for _ in range(8 * start.n):
@@ -192,7 +169,7 @@ def _beam_search(start: ExchangeMatrix) -> tuple[tuple[int, ...] | None, int]:
                     continue
                 flat = list(chain.from_iterable(c.rows))
                 w = max(flat)  # skew-symmetric: the largest |b_ij|
-                if w >= 3 and _has_heavy_component(c):
+                if w >= 3:
                     return seq + (k,), len(seen)
                 seen.add(c.rows)
                 scored.append((w, sum(map(mul, flat, flat)), c, seq + (k,)))
@@ -363,9 +340,9 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
         raise CapZero("exploration cap must be >= 1")
     n = start.n
     max_w = start.max_weight()
-    if _has_heavy_component(start):
-        return _infinite(max_w, (), 1)
     large = _large_component_vertices(start)
+    if max(map(max, compress(start.rows, large)), default=0) >= 3:
+        return _infinite(max_w, (), 1)
     witness, probed = _witness_probe(start, large)
     if witness is not None:
         max_w = max(max_w, _checked_replay(start, witness))
@@ -384,10 +361,9 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
                 continue  # involution: mutating back reproduces the parent
             child = m.mutate(k)
             # m's weights are already in max_w and m has no heavy component,
-            # so only the entries i -> k -> j can raise either.
-            into, out = _through(m.rows[k])
+            # so only the rows of k's neighbours can raise either.
             crows = child.rows
-            w = max((abs(crows[i][j]) for i in into for j in out), default=0)
+            w = max(map(max, compress(crows, m.rows[k])), default=0)
             if w > max_w:
                 max_w = w
             if w >= 3 and large[k]:
@@ -433,13 +409,17 @@ def rebuild_report(n: int, data: dict, member_keys) -> MutationClassReport:
     The report is rebuilt as :func:`explore` builds it, so a fully
     enumerated class gets its classification, size, fingerprint and name
     from its member keys and largest weight.  Raises ValueError unless
-    the rebuilt report gives back ``data``.
+    the rebuilt report gives back ``data``, and for an infinite-type report
+    whose witness names a vertex outside 0..n-1 or whose largest weight is
+    below 3 (the witness is not replayed).
     """
     max_w = data["max_weight_seen"]
     if member_keys is not None:
         report = _enumerated(n, member_keys, max_w)
     elif data["infinite_witness"] is not None:
         witness = tuple(data["infinite_witness"])
+        if max_w < 3 or not all(0 <= v < n for v in witness):
+            raise ValueError("stored infinite-type report is malformed")
         report = _infinite(max_w, witness, data["explored"])
     else:
         report = _inconclusive(max_w, data["explored"])

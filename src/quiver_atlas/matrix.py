@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from operator import neg
+from operator import index, neg
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -40,7 +40,7 @@ class VertexOutOfRange(QuiverError, IndexError):
 
 
 class ParseError(QuiverError, ValueError):
-    """Raised when deserialization fails; message includes a position."""
+    """Raised on input that is not an integer grid; message gives a position."""
 
 
 class ArithmeticOverflow(QuiverError, OverflowError):
@@ -63,8 +63,22 @@ class ExchangeMatrix:
 
     @classmethod
     def from_rows(cls, entries) -> "ExchangeMatrix":
-        """Validate a square integer grid and return an ExchangeMatrix."""
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        """Validate a square integer grid and return an ExchangeMatrix.
+
+        Entries are read with ``operator.index``: numpy integers pass,
+        floats and strings raise ParseError."""
+        try:
+            rows = tuple(tuple(map(index, row)) for row in entries)
+        except TypeError:  # name the first entry that is not an integer
+            for i, row in enumerate(entries):
+                for j, x in enumerate(row):
+                    try:
+                        index(x)
+                    except TypeError:
+                        raise ParseError(
+                            f"non-integer entry at row {i}, column {j}"
+                        ) from None
+            raise
         n = len(rows)
         if n == 0:
             raise EmptyMatrix("exchange matrix must have at least one vertex")

@@ -92,8 +92,31 @@ def test_inconclusive_not_reused_at_larger_cap(tmp_path):
     [full] = explore_classes([start], cache_dir=tmp_path)
     assert full.classification is Classification.FINITE_TYPE
     assert full.class_size == 19
-    # a later run at the small cap reads the stored full report
-    assert explore_classes([start], 10, cache_dir=tmp_path) == [full]
+    # a later run at the small cap gives what explore gives at that cap
+    assert explore_classes([start], 10, cache_dir=tmp_path) == explore_classes(
+        [start], 10
+    )
+
+
+def test_stored_report_served_only_where_explore_agrees(tmp_path, explored):
+    start = initial_quiver(GrassmannianSpec(2, 6))  # A5, 19 members
+    [full] = explore_classes([start], cache_dir=tmp_path)
+    # the class fits in caps of 19 and more, so these read the stored report
+    assert explore_classes([start], 19, cache_dir=tmp_path) == [full]
+    assert explore_classes([start], 2 * DEFAULT_CAP, cache_dir=tmp_path) == [full]
+    assert len(explored()) == 1
+    [small] = explore_classes([start], 18, cache_dir=tmp_path)
+    assert len(explored()) == 2
+    assert small.classification is Classification.INCONCLUSIVE
+    assert small.explored == 18
+
+
+def test_cached_cell_at_smaller_cap_matches_uncached(tmp_path):
+    classify_cell(4, 4, cache_dir=tmp_path)  # E7(1,1), 506 members
+    uncached = classify_cell(4, 4, cap=100)
+    assert uncached.cluster.classification is Classification.INCONCLUSIVE
+    assert uncached.cluster.explored == 100
+    assert classify_cell(4, 4, cap=100, cache_dir=tmp_path) == uncached
 
 
 def test_witness_in_caller_labels(explored):
@@ -171,6 +194,31 @@ def test_malformed_member_keys_recompute(tmp_path, caplog):
         assert explore_classes([start], cache_dir=tmp_path) == [report]
     assert len(caplog.records) == 1
     assert load_report(tmp_path, key, DEFAULT_CAP) == report
+
+
+@pytest.mark.parametrize(
+    "witness,max_weight",
+    [([999], None), ([0, 1], 1)],
+    ids=["vertex-out-of-range", "weight-below-3"],
+)
+def test_tampered_infinite_entry_recomputes(tmp_path, caplog, witness, max_weight):
+    start = initial_quiver(GrassmannianSpec(4, 5))
+    key = canonical_key(start)
+    [report] = explore_classes([start], cache_dir=tmp_path)
+    assert report.classification is Classification.INFINITE_MUTATION_TYPE
+    stored = load_report(tmp_path, key, DEFAULT_CAP)  # in canonical labels
+    path = cache_path(tmp_path, key)
+    payload = json.loads(path.read_text())
+    payload["report"]["infinite_witness"] = witness
+    if max_weight is not None:
+        payload["report"]["max_weight_seen"] = max_weight
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CacheCorrupt):
+        load_report(tmp_path, key, DEFAULT_CAP)
+    with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
+        assert explore_classes([start], cache_dir=tmp_path) == [report]
+    assert len(caplog.records) == 1
+    assert load_report(tmp_path, key, DEFAULT_CAP) == stored
 
 
 def test_disconnected_finite_class_through_cache(tmp_path, caplog, explored):

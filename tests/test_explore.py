@@ -20,6 +20,7 @@ from quiver_atlas.explore import (
     replay,
     WitnessCheckFailed,
     _dynkin_anchors,
+    _has_heavy_component,
     _large_component_vertices,
     _witness_probe,
     report_to_dict,
@@ -577,16 +578,43 @@ def _assert_same_as_dense(start, cap, probe=True):
     return ending
 
 
-@pytest.mark.parametrize("chunk", range(4))
-def test_explore_matches_dense_reference_random(chunk):
+def _dense_reference_endings(chunk, probe):
     rng = random.Random(1000 + chunk)
     endings = set()
     for _ in range(80):
         start = _mixed_quiver(rng)
         for cap in (1, 2000):
-            endings.add(_assert_same_as_dense(start, cap))
+            endings.add(_assert_same_as_dense(start, cap, probe))
+    return endings
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_explore_matches_dense_reference_random(chunk):
+    endings = _dense_reference_endings(chunk, probe=True)
     # every way explore can end is exercised
     assert endings >= {"start", "probe", "cap", "finite", "finite-mutation"}
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_explore_matches_dense_reference_random_probe_missing(chunk, monkeypatch):
+    # the same starts with a probe that misses: the closure's test on the
+    # rows of k's neighbours decides every infinite-type class
+    _probe_misses(monkeypatch)
+    endings = _dense_reference_endings(chunk, probe=False)
+    assert endings >= {"start", "bfs", "cap", "finite", "finite-mutation"}
+
+
+def test_heavy_component_matches_dense_reference():
+    rng = random.Random(1300)
+    kinds = set()
+    for _ in range(320):
+        start = _mixed_quiver(rng)
+        for m in [start] + [start.mutate(k) for k in range(start.n)]:
+            heavy = _has_heavy_component(m)
+            assert heavy == _dense_heavy(m.rows)
+            kinds.add((heavy, m.max_weight() >= 3))
+    # including heavy edges that lie only in rank-2 components
+    assert kinds == {(False, False), (False, True), (True, True)}
 
 
 def test_probe_matches_dense_reference_on_misses():

@@ -221,14 +221,25 @@ class TestSparseMutation:
             ArithmeticOverflow,
             "entry (0,1) outside 64-bit range",
         ),
+        # not rounded to the oriented A2
+        ([[0, 1.7], [-1.2, 0]], ParseError, "non-integer entry at row 0, column 1"),
+        # not parsed into a weight-3 arrow
+        ([["0", "3"], ["-3", "0"]], ParseError, "non-integer entry at row 0, column 0"),
     ],
-    ids=["ragged", "diagonal", "skew", "first-fault", "range"],
+    ids=["ragged", "diagonal", "skew", "first-fault", "range", "float", "string"],
 )
 def test_from_rows_errors_keep_class_and_message(rows, error, message):
     with pytest.raises(error) as err:
         from_matrix(rows)
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+def test_from_rows_accepts_numpy_integers():
+    np = pytest.importorskip("numpy")
+    m = from_matrix(np.array(MARKOV, dtype=np.int64))
+    assert m == from_matrix(MARKOV)
+    assert all(type(x) is int for row in m.rows for x in row)
 
 
 class TestSerialization:

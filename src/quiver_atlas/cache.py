@@ -8,7 +8,10 @@ class was fully enumerated.  Loading rebuilds the report from the stored
 one and its member keys with :func:`quiver_atlas.explore.rebuild_report`,
 which derives classification, size, fingerprint and name as explore does;
 an entry that does not rebuild to itself is corrupt.  Corrupt files are
-ignored with a warning and the report is recomputed.
+ignored with a warning and the report is recomputed.  An inconclusive
+report never replaces an entry stored at a larger cap, which still answers
+the larger cap.  Keys changed format with schema version 2, so files of
+version 1 have other names and are never read.
 
 :func:`explore_classes` is the one way to a report through the cache: one
 call is one run, which explores each distinct class of its starts at most
@@ -38,7 +41,7 @@ from .explore import (
 )
 from .matrix import ExchangeMatrix, QuiverError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CACHE_ENV_VAR = "ATLAS_CACHE"
 DEFAULT_CACHE_DIR = ".atlas-cache"
@@ -58,10 +61,24 @@ def cache_path(cache_dir: Path, key: QuiverKey) -> Path:
     return Path(cache_dir) / (hashlib.sha256(key.data).hexdigest() + ".json")
 
 
+def _stored_cap(path: Path) -> int | None:
+    """The cap of the entry at ``path``, or None if there is no readable one."""
+    try:
+        return int(json.loads(path.read_text())["cap"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def store_report(
     cache_dir: Path, key: QuiverKey, report: MutationClassReport, cap: int
 ) -> Path:
+    """Write the report of ``key`` explored at ``cap``, except that an
+    inconclusive report never replaces an entry stored at a larger cap."""
     path = cache_path(cache_dir, key)
+    if report.classification is Classification.INCONCLUSIVE:
+        stored = _stored_cap(path)
+        if stored is not None and stored > cap:
+            return path
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,

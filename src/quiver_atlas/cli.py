@@ -20,7 +20,7 @@ import click
 
 from . import __version__
 from .cache import default_cache_dir
-from .canonical import canonical_form, canonical_key, is_isomorphic
+from .canonical import _pack, canonical_form, canonical_key, is_isomorphic
 from .correspondence import classify_cell
 from .explore import DEFAULT_CAP, Classification, report_to_dict
 from .grassmannian import GrassmannianSpec, initial_quiver
@@ -255,7 +255,7 @@ def selftest(seed, cases):
         if n <= 5 and not is_isomorphic(m, pm):
             failures.append(f"isomorphism case {case}")
         key, cperm = canonical_form(m)
-        if m.permuted(cperm).serialize().encode() != key.data:
+        if _pack(m.permuted(cperm).rows) != key.data:
             failures.append(f"canonical permutation case {case}")
         sym = symmetric_quiver()
         perm = list(range(sym.n))
@@ -264,7 +264,7 @@ def selftest(seed, cases):
         key, cperm = canonical_form(psym)
         if canonical_key(sym).data != key.data:
             failures.append(f"symmetric canonical invariance case {case}")
-        if psym.permuted(cperm).serialize().encode() != key.data:
+        if _pack(psym.permuted(cperm).rows) != key.data:
             failures.append(f"symmetric canonical permutation case {case}")
     for f in failures[:10]:
         click.echo(f"FAIL {f}", err=True)

@@ -24,16 +24,27 @@ searches rest on invariants of Fomin-Zelevinsky mutation at k:
   of the mutated quiver is the full subquiver on S mutated at k, so a
   probe witness found on a subquiver is a witness for the whole quiver.
 
-The closure canonicalises each distinct child once per BFS level.  Two
-mutations at vertices j, k with b_jk = 0 commute, mu_j mu_k = mu_k mu_j
+The closure canonicalises each edge of the class's exchange graph about
+once.  Mutation is an involution, and it commutes with relabelling: if
+mu_k(m) = c and c is carried onto its canonical matrix by the permutation
+cp, then mutating that matrix at cp[k] gives a relabelling of m.  So the
+seen map keeps, for each key, a bitmask of the canonical vertices known to
+lead to a class already seen.  Canonicalising a child c = mu_k(m) sets bit
+cp[k] on c's key, and popping a member skips every k whose canonical vertex
+has its bit set: that child is isomorphic to a member already seen, so it
+adds no key, its weights are already in the largest weight, and it is not
+heavy.  Keys, their order, ``explored`` and the cap are what the closure
+that mutates at every vertex gives.  An edge is met from both ends only
+when the two ends reach different vertices of an automorphism orbit.
+
+The closure also canonicalises each distinct child once per BFS level.
+Two mutations at vertices j, k with b_jk = 0 commute, mu_j mu_k = mu_k mu_j
 (the squares of the exchange graph, Fomin-Zelevinsky, *Cluster algebras
 II*), so two parents on one level often produce the same child rows.
 Rows equal to rows already met on the level, packed one signed byte per
-entry, skip :func:`canonical_key`: their key is already in the seen set
-and their weights were folded into the largest weight before the check.
-Only exact duplicates are skipped, so keys, ``explored`` and the cap are
-what the unmemoised closure gives.  The memo is emptied at each new level,
-so it never holds more than one level's children.
+entry, reuse the key and permutation computed for them, which still sets
+the duplicate's back edge.  The memo is emptied at each new level, so it
+never holds more than one level's children.
 
 A probe miss is never a wrong answer, but it costs time.  On a
 mutation-finite quiver of more than PROBE_BALL vertices the probe tries up
@@ -68,7 +79,7 @@ from functools import cache
 from itertools import chain, compress
 from operator import mul
 
-from .canonical import canonical_key
+from .canonical import canonical_form, canonical_key
 from .matrix import ExchangeMatrix, QuiverError
 
 DEFAULT_CAP = 10**6
@@ -347,18 +358,19 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     if witness is not None:
         max_w = max(max_w, _checked_replay(start, witness))
         return _infinite(max_w, witness, probed)
-    seen = {canonical_key(start).hex()}
-    queue = deque([(start, ())])
-    level, met = 0, set()  # child rows met from parents of this BFS level
+    key, perm = canonical_form(start)
+    key = key.hex()
+    seen = {key: 0}  # key -> bits of canonical vertices leading to seen keys
+    queue = deque([(start, (), key, perm)])
+    level, met = 0, {}  # child rows met on this BFS level -> (key, perm)
     while queue:
-        m, seq = queue.popleft()
+        m, seq, mkey, mperm = queue.popleft()
         if len(seq) != level:
             level = len(seq)
             met.clear()
-        last = seq[-1] if seq else -1
         for k in range(n):
-            if k == last:
-                continue  # involution: mutating back reproduces the parent
+            if seen[mkey] >> mperm[k] & 1:
+                continue  # mu_k(m) is isomorphic to a member already seen
             child = m.mutate(k)
             # m's weights are already in max_w and m has no heavy component,
             # so only the rows of k's neighbours can raise either.
@@ -374,15 +386,18 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
                 packed = array("b", chain.from_iterable(crows)).tobytes()
             except OverflowError:
                 packed = crows
-            if packed in met:
-                continue  # same rows, so same key, already in seen
-            met.add(packed)
-            key = canonical_key(child).hex()
-            if key not in seen:
+            form = met.get(packed)
+            if form is None:
+                key, perm = canonical_form(child)
+                form = met[packed] = key.hex(), perm
+            key, perm = form
+            bits = seen.get(key)
+            if bits is None:
                 if len(seen) >= cap:
                     return _inconclusive(max_w, len(seen))
-                seen.add(key)
-                queue.append((child, seq + (k,)))
+                bits = 0
+                queue.append((child, seq + (k,), key, perm))
+            seen[key] = bits | 1 << perm[k]  # mu_k(child) is m
     return _enumerated(n, seen, max_w)
 
 

@@ -17,9 +17,8 @@ from operator import index, neg
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
-# The one text encoding of a matrix, shared by serialized matrices and
-# canonical keys: compact JSON, one array per row (json.dumps with these
-# separators, with the encoder built once).
+# The text encoding of serialized matrices: compact JSON, one array per row
+# (json.dumps with these separators, with the encoder built once).
 _rows_json = json.JSONEncoder(separators=(",", ":")).encode
 
 

@@ -3,8 +3,8 @@ import pytest
 from quiver_atlas.verify import compute_grid
 
 # Class sizes pinned by the independent oracles (n!-dedup BFS for small rank,
-# networkx DiGraphMatcher dedup for the rest, polygon triangulations for A_n);
-# see tests/test_oracles.py.
+# networkx DiGraphMatcher dedup for the rest, polygon triangulations for A_n,
+# Buan-Torkildsen's closed count for D_n); see tests/test_oracles.py.
 GOLDEN_CLASS_SIZES = {
     "A1": 1,
     "A2": 1,
@@ -18,6 +18,11 @@ GOLDEN_CLASS_SIZES = {
     "A10": 4522,
     "A11": 14924,
     "D4": 6,
+    "D5": 26,
+    "D6": 80,
+    "D7": 246,
+    "D8": 810,
+    "D9": 2704,
     "E6": 67,
     "E8": 1574,
     "E7(1,1)": 506,

@@ -119,6 +119,18 @@ def test_cached_cell_at_smaller_cap_matches_uncached(tmp_path):
     assert classify_cell(4, 4, cap=100, cache_dir=tmp_path) == uncached
 
 
+def test_inconclusive_never_replaces_larger_cap_entry(tmp_path, explored):
+    full = classify_cell(4, 4, cache_dir=tmp_path).cluster  # E7(1,1)
+    small = classify_cell(4, 4, cap=100, cache_dir=tmp_path).cluster
+    assert small.classification is Classification.INCONCLUSIVE
+    assert len(explored()) == 2
+    # the default-cap entry is still there and answers the next call
+    again = classify_cell(4, 4, cache_dir=tmp_path).cluster
+    assert len(explored()) == 2
+    assert again == full
+    assert again.class_size == 506
+
+
 def test_witness_in_caller_labels(explored):
     start = initial_quiver(GrassmannianSpec(4, 5))
     perm = list(reversed(range(start.n)))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from quiver_atlas import canonical
 from quiver_atlas.canonical import (
-    _flat_to_bytes,
     _neighbours,
+    _pack,
     _refine,
     canonical_form,
     canonical_key,
@@ -23,6 +23,30 @@ from test_oracles import brute_force_isomorphic
 CYCLE3 = [[0, 1, -1], [-1, 0, 1], [1, -1, 0]]
 STAR_SOURCE = [[0, 1, 1], [-1, 0, 0], [-1, 0, 0]]  # 1 <- 0 -> 2
 STAR_SINK = [[0, -1, -1], [1, 0, 0], [1, 0, 0]]  # 1 -> 0 <- 2
+
+
+def unpack_key(data):
+    """The skew-symmetric rows a key's bytes stand for: n, then the strict
+    upper triangle row-major, each number a signed byte or the escape byte
+    0x80 followed by a little-endian int64.  Fails on trailing bytes."""
+    pos = 0
+
+    def number():
+        nonlocal pos
+        if data[pos] == 0x80:
+            pos += 9
+            return int.from_bytes(data[pos - 8 : pos], "little", signed=True)
+        pos += 1
+        return int.from_bytes(data[pos - 1 : pos], "little", signed=True)
+
+    n = number()
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = number()
+            rows[j][i] = -rows[i][j]
+    assert pos == len(data), "trailing bytes"
+    return tuple(map(tuple, rows))
 
 
 def test_path_relabeling_same_key():
@@ -88,7 +112,23 @@ def test_canonical_permutation_realizes_key():
     for _ in range(200):
         m = random_quiver(rng, rng.randint(1, 7))
         key, perm = canonical_form(m)
-        assert m.permuted(perm).serialize().encode() == key.data
+        assert unpack_key(key.data) == m.permuted(perm).rows
+
+
+def test_key_decodes_to_canonical_matrix_with_wide_entries():
+    # entries around the escape boundaries and far beyond a byte
+    rng = random.Random(6)
+    wide = [127, 128, 129, 255, 256, 2**31, 2**40, 2**63 - 1]
+    for _ in range(200):
+        n = rng.randint(2, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                x = rng.choice([0, 1, 2] + wide) * rng.choice([1, -1])
+                rows[i][j], rows[j][i] = x, -x
+        m = from_matrix(rows)
+        key, perm = canonical_form(m)
+        assert unpack_key(key.data) == m.permuted(perm).rows
 
 
 def test_determinism():
@@ -102,23 +142,55 @@ def test_key_hex_is_lowercase():
     assert h == h.lower()
 
 
-def test_key_bytes_are_compact_json_rows():
+def test_key_bytes_are_packed_upper_triangle():
     # cache files are named by these bytes: changing them needs a schema bump
-    assert canonical_key(from_matrix(A3_PATH)).data == b"[[0,-1,0],[1,0,-1],[0,1,0]]"
+    # canonical A3 path: [[0,-1,0],[1,0,-1],[0,1,0]]
+    assert canonical_key(from_matrix(A3_PATH)).data == b"\x03\xff\x00\xff"
     big = 2**40
     m = from_matrix([[0, big, 0], [-big, 0, 1], [0, -1, 0]])
+    # canonical: [[0,1,-big],[-1,0,0],[big,0,0]]; -big takes the escape
     assert canonical_key(m).data == (
-        b"[[0,1,-1099511627776],[-1,0,0],[1099511627776,0,0]]"
+        b"\x03\x01\x80" + bytes.fromhex("0000000000ffffff") + b"\x00"
     )
     assert from_matrix(A3_PATH).serialize() == "[[0,1,0],[-1,0,1],[0,-1,0]]"
 
 
 @pytest.mark.parametrize(
+    "x,packed",
+    [
+        (127, b"\x7f"),
+        (128, b"\x80\x80\x00\x00\x00\x00\x00\x00\x00"),
+        (-127, b"\x81"),
+        (-128, b"\x80\x80\xff\xff\xff\xff\xff\xff\xff"),
+        (-129, b"\x80\x7f\xff\xff\xff\xff\xff\xff\xff"),
+    ],
+)
+def test_escape_boundaries(x, packed):
+    # one signed byte for -127..127; 0x80 is the escape, so -128 escapes too
+    assert _pack([[0, x], [-x, 0]]) == b"\x02" + packed
+    m = from_matrix([[0, x, 1], [-x, 0, 0], [-1, 0, 0]])
+    key, perm = canonical_form(m)
+    assert unpack_key(key.data) == m.permuted(perm).rows
+
+
+def test_zero_matrix_keys_carry_n():
+    # n = 256 needs the escape in the header; every entry is one zero byte
+    one = canonical_key(from_matrix([[0]]))
+    wide = canonical_key(from_matrix([[0] * 256 for _ in range(256)]))
+    assert one.data == b"\x01"
+    assert wide.data == (
+        b"\x80" + (256).to_bytes(8, "little") + bytes(256 * 255 // 2)
+    )
+    assert one.data != wide.data
+    assert unpack_key(wide.data) == ((0,) * 256,) * 256
+
+
+@pytest.mark.parametrize(
     "rows,key,perm",
     [
-        ([[0]], b"[[0]]", (0,)),
-        ([[0, 1], [-1, 0]], b"[[0,-1],[1,0]]", (1, 0)),
-        ([[0, -1], [1, 0]], b"[[0,-1],[1,0]]", (0, 1)),
+        ([[0]], b"\x01", (0,)),
+        ([[0, 1], [-1, 0]], b"\x02\xff", (1, 0)),
+        ([[0, -1], [1, 0]], b"\x02\xff", (0, 1)),
     ],
     ids=["zero-1x1", "A2", "A2-reversed"],
 )
@@ -251,7 +323,8 @@ def unpruned_flat(rows, n):
 def assert_same_as_unpruned(m):
     key, perm = canonical_form(m)
     flat, want_perm = unpruned_flat(m.rows, m.n)
-    assert key.data == _flat_to_bytes(flat, m.n)
+    n = m.n
+    assert unpack_key(key.data) == tuple(flat[i * n : (i + 1) * n] for i in range(n))
     assert perm == want_perm
 
 
@@ -325,7 +398,7 @@ def test_symmetric_relabelling_gives_one_realised_key(pair):
     with search_nodes_at_most(m.n**2):
         key, perm = canonical_form(pm)
     assert key == canonical_key(m)
-    assert pm.permuted(perm).serialize().encode() == key.data
+    assert unpack_key(key.data) == pm.permuted(perm).rows
 
 
 small_symmetric_quivers = st.one_of(

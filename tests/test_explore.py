@@ -1,6 +1,7 @@
 import importlib
 import random
 from collections import deque
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -28,6 +29,7 @@ from quiver_atlas.explore import (
 from quiver_atlas.grassmannian import (
     GrassmannianSpec,
     expected_classification,
+    expected_type_name,
     initial_quiver,
 )
 from quiver_atlas.matrix import ExchangeMatrix, from_matrix
@@ -465,16 +467,34 @@ def _dense_explore(start, cap, probe=True, mutate=_dense_mutate):
     return report, kind.value
 
 
-# --- the child-rows memo ---------------------------------------------------
+# --- the child-rows memo and the edge-once closure --------------------------
 #
-# explore skips canonical_key for child rows already met on the same BFS
-# level.  The reference below is the dense one with the library's mutation:
-# it shares only canonical_key and mutate with explore and canonicalises
-# every child, so any child the memo wrongly skips shows as a report change.
+# explore reuses the canonical form of child rows already met on the same
+# BFS level, and skips the children its back-edge bits mark as isomorphic to
+# a member already seen.  The reference below is the dense one with the
+# library's mutation: it shares only canonical_key and mutate with explore
+# and canonicalises every child, so any child wrongly skipped shows as a
+# report change.
 
 
 def _library_mutate(rows, k):
     return ExchangeMatrix(rows).mutate(k).rows
+
+
+@contextmanager
+def counting_canonical_forms():
+    """Count explore's canonical_form calls; yields a reader of the count."""
+    explore_module = importlib.import_module("quiver_atlas.explore")
+    form_of = explore_module.canonical_form
+    calls = 0
+
+    def counted(m):
+        nonlocal calls
+        calls += 1
+        return form_of(m)
+
+    with mock.patch.object(explore_module, "canonical_form", counted):
+        yield lambda: calls
 
 
 def _assert_same_as_unmemoised(start, cap):
@@ -529,23 +549,39 @@ def test_explore_matches_unmemoised_reference_grid(p, q):
 
     expected, _ = _dense_explore(start, DEFAULT_CAP, mutate=counted_mutate)
     _dynkin_anchors(start.n)  # cached: name lookups make no calls below
-    explore_module = importlib.import_module("quiver_atlas.explore")
-    calls = 0
-    key_of = explore_module.canonical_key
-
-    def counted_key(m):
-        nonlocal calls
-        calls += 1
-        return key_of(m)
-
-    with mock.patch.object(explore_module, "canonical_key", counted_key):
+    with counting_canonical_forms() as calls:
         got = explore(start)
     assert report_to_dict(got) == report_to_dict(expected)
     assert got.member_keys == expected.member_keys
-    assert calls <= 1 + children  # the start, then at most one per child
+    assert calls() <= 1 + children  # the start, then at most one per child
     if (p, q) == (3, 5):
         # commuting mutations make repeated children on E8's levels
-        assert calls < children
+        assert calls() < children
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        (p, q)
+        for p, q in SMALL_GRID_CELLS
+        if expected_classification(GrassmannianSpec(p, q))
+        is not Classification.INFINITE_MUTATION_TYPE
+        and expected_type_name(GrassmannianSpec(p, q)) not in ("A1", "A3", "D4")
+    ],
+)
+def test_each_exchange_graph_edge_canonicalised_about_once(p, q):
+    # the exchange graph of a class of size s on n vertices has s * n / 2
+    # edges up to isomorphism; mutating at every vertex of every member
+    # canonicalises most of them from both ends.  A1, A3 and D4 are left
+    # out: most of their members have automorphisms, and an edge whose two
+    # ends reach different vertices of an orbit is met from both ends (A1's
+    # one edge is a loop, canonicalised once on top of the start).
+    start = initial_quiver(GrassmannianSpec(p, q))
+    _dynkin_anchors(start.n)  # cached: name lookups make no calls below
+    with counting_canonical_forms() as calls:
+        report = explore(start)
+    assert report.class_size is not None
+    assert calls() <= 1 + report.class_size * start.n / 2
 
 
 def _mixed_quiver(rng):

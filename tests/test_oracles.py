@@ -11,12 +11,18 @@ mutation-equivalent to A_n correspond one-to-one to the triangulations of an
 (n+3)-gon up to rotation (Caldero-Chapoton-Schiffler; Torkildsen, Counting
 cluster-tilted algebras of type A_n, 2008).
 
+The D_n classes, n >= 5, are counted by a closed formula (Buan-Torkildsen,
+The number of elements in the mutation class of a quiver of type D_n, 2009):
+d(n) = sum over d | n of phi(n/d) C(2d, d) / (2n).  D4 has 6 members.
+
 ``brute_force_isomorphic`` searches all n! permutations, as the isomorphism
 oracle of the canonical-form tests.
 """
 
+import random
 from collections import defaultdict, deque
 from itertools import permutations
+from math import comb, gcd
 
 import networkx as nx
 import pytest
@@ -181,3 +187,43 @@ def test_factorial_oracle_agrees(build, expected):
 def test_networkx_oracle_agrees(cell, name):
     start = initial_quiver(GrassmannianSpec(*cell))
     assert bfs_class_size_networkx(start) == GOLDEN_CLASS_SIZES[name]
+
+
+def d_n_class_size(n):
+    """Buan-Torkildsen's count of the mutation class of D_n, n >= 5."""
+    phi = [sum(gcd(k, m) == 1 for k in range(1, m + 1)) for m in range(n + 1)]
+    total = sum(phi[n // d] * comb(2 * d, d) for d in range(1, n + 1) if n % d == 0)
+    assert total % (2 * n) == 0
+    return total // (2 * n)
+
+
+def d_n_orientation(n, rng):
+    """A randomly oriented, randomly labelled D_n tree: a path 0 - ... - n-2
+    with a leaf n-1 joined to vertex 1."""
+    edges = [(v, v + 1) for v in range(n - 2)] + [(1, n - 1)]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        w = rng.choice((1, -1))
+        a, b = labels[i], labels[j]
+        rows[a][b], rows[b][a] = w, -w
+    return from_matrix(rows)
+
+
+def test_d_n_formula_agrees():
+    for n in range(5, 10):
+        assert d_n_class_size(n) == GOLDEN_CLASS_SIZES[f"D{n}"], n
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_explore_d_n_agrees(n):
+    report = explore(d_n_orientation(n, random.Random(n)))
+    assert report.type_name == f"D{n}"
+    assert report.class_size == GOLDEN_CLASS_SIZES[f"D{n}"]
+
+
+@pytest.mark.parametrize("n", range(5, 8))
+def test_networkx_oracle_agrees_on_d_n(n):
+    start = d_n_orientation(n, random.Random(100 + n))
+    assert bfs_class_size_networkx(start) == GOLDEN_CLASS_SIZES[f"D{n}"]

@@ -2,16 +2,16 @@
 
 One JSON file per starting-quiver canonical key, named by the sha256 of the
 key bytes (keys themselves can exceed filename limits at large rank).  Each
-file stores the schema version, the start key in lowercase hex, the cap the
-report was computed at, the report, and the sorted member keys when the
-class was fully enumerated.  Loading rebuilds the report from the stored
-one and its member keys with :func:`quiver_atlas.explore.rebuild_report`,
-which derives classification, size, fingerprint and name as explore does;
-an entry that does not rebuild to itself is corrupt.  Corrupt files are
-ignored with a warning and the report is recomputed.  An inconclusive
-report never replaces an entry stored at a larger cap, which still answers
-the larger cap.  Keys changed format with schema version 2, so files of
-version 1 have other names and are never read.
+file stores the schema version, the start key in lowercase hex, the
+report, and the sorted member keys when the class was fully enumerated.
+Loading rebuilds the report from the stored one and its member keys with
+:func:`quiver_atlas.explore.rebuild_report`, which derives classification,
+size, fingerprint and name as explore does; an entry that does not rebuild
+to itself is corrupt.  Corrupt files are ignored with a warning, removed
+and recomputed.  The report alone says which caps it answers (see
+:func:`load_report`), so an inconclusive report never replaces an entry
+that explored more classes.  Keys changed format with schema version 2, so
+files of version 1 are never read; schema 3 dropped the stored cap.
 
 :func:`explore_classes` is the one way to a report through the cache: one
 call is one run, which explores each distinct class of its starts at most
@@ -41,7 +41,7 @@ from .explore import (
 )
 from .matrix import ExchangeMatrix, QuiverError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CACHE_ENV_VAR = "ATLAS_CACHE"
 DEFAULT_CACHE_DIR = ".atlas-cache"
@@ -61,29 +61,20 @@ def cache_path(cache_dir: Path, key: QuiverKey) -> Path:
     return Path(cache_dir) / (hashlib.sha256(key.data).hexdigest() + ".json")
 
 
-def _stored_cap(path: Path) -> int | None:
-    """The cap of the entry at ``path``, or None if there is no readable one."""
-    try:
-        return int(json.loads(path.read_text())["cap"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-
-
-def store_report(
-    cache_dir: Path, key: QuiverKey, report: MutationClassReport, cap: int
-) -> Path:
-    """Write the report of ``key`` explored at ``cap``, except that an
-    inconclusive report never replaces an entry stored at a larger cap."""
+def store_report(cache_dir: Path, key: QuiverKey, report: MutationClassReport) -> Path:
+    """Write the report of ``key``, except that an inconclusive report never
+    replaces an entry that explored more classes (it answers larger caps)."""
     path = cache_path(cache_dir, key)
     if report.classification is Classification.INCONCLUSIVE:
-        stored = _stored_cap(path)
-        if stored is not None and stored > cap:
-            return path
+        try:
+            if json.loads(path.read_text())["report"]["explored"] > report.explored:
+                return path
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # no readable entry
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "start_key": key.hex(),
-        "cap": cap,
         "report": report_to_dict(report),
         "member_keys": (
             list(report.member_keys) if report.member_keys is not None else None
@@ -102,9 +93,9 @@ def load_report(
 ) -> MutationClassReport | None:
     """Load a cached report, or None on miss / cap-incompatible entry.
 
-    A report stored at cap s answers cap c only where explore(start, c)
-    gives the same report: when c == s, or when the report is not
-    inconclusive and either c > s or it explored at most c quivers.
+    A report answers cap c exactly where explore(start, c) gives it: a
+    decided report when it explored at most c classes, an inconclusive one
+    when it explored exactly c (explore stops as the count reaches the cap).
     Raises CacheCorrupt on unreadable files and on entries whose report
     does not rebuild to itself (:func:`rebuild_report`).
     """
@@ -118,10 +109,9 @@ def load_report(
         if payload["start_key"] != key.hex():
             raise CacheCorrupt(f"start key mismatch in {path}")
         report = rebuild_report(key.n, payload["report"], payload["member_keys"])
-        stored_cap = payload["cap"]
-        fits = stored_cap == cap or (
-            report.classification is not Classification.INCONCLUSIVE
-            and (cap > stored_cap or report.explored <= cap)
+        fits = report.explored == cap or (
+            report.explored < cap
+            and report.classification is not Classification.INCONCLUSIVE
         )
     except CacheCorrupt:
         raise
@@ -159,6 +149,7 @@ def explore_classes(
                 report = load_report(cache_dir, key, cap)
             except CacheCorrupt as e:
                 log.warning("ignoring corrupt cache entry: %s", e)
+                cache_path(cache_dir, key).unlink(missing_ok=True)
         reports[key.data] = report
         if report is None:
             missing[key.data] = (key, start.permuted(perm))
@@ -172,7 +163,7 @@ def explore_classes(
             fresh = map(explore, canonical_starts, repeat(cap))
         for key, report in zip(keys, fresh):
             if cache_dir is not None:
-                store_report(cache_dir, key, report, cap)
+                store_report(cache_dir, key, report)
             reports[key.data] = report
     out = []
     for _, key, perm in forms:

@@ -108,7 +108,12 @@ class MutationClassReport:
     class_size and member_keys are present iff the class was fully
     enumerated; infinite_witness is present iff the classification is
     infinite mutation type, and replaying it from the start quiver reaches
-    an edge weight >= 3.
+    an edge weight >= 3.  explored is the number of classes the closure
+    holds when explore stops: the class size when enumerated, the cap when
+    inconclusive, the keys seen when the closure meets a heavy edge, and 1
+    when the start is heavy or the witness probe finds a witness (only the
+    start's class is known).  So explore(start, c) gives this report iff
+    explored <= c, or explored == c for an inconclusive one.
     """
 
     classification: Classification
@@ -163,12 +168,12 @@ def _ball(m: ExchangeMatrix, v: int) -> list[int]:
     return ball
 
 
-def _beam_search(start: ExchangeMatrix) -> tuple[tuple[int, ...] | None, int]:
+def _beam_search(start: ExchangeMatrix) -> tuple[int, ...] | None:
     """Beam search over mutation sequences of ``start`` for an edge of
     weight >= 3, scored by (max weight, sum of squared entries); both grow
     along mutation-infinite directions.  ``start`` is a ball's subquiver,
     connected on >= 3 vertices as are its mutations, so such an edge is a
-    heavy component.  Returns (witness, quivers examined)."""
+    heavy component.  Returns the witness, or None."""
     beam = [(start, ())]
     seen = {start.rows}
     for _ in range(8 * start.n):
@@ -181,19 +186,19 @@ def _beam_search(start: ExchangeMatrix) -> tuple[tuple[int, ...] | None, int]:
                 flat = list(chain.from_iterable(c.rows))
                 w = max(flat)  # skew-symmetric: the largest |b_ij|
                 if w >= 3:
-                    return seq + (k,), len(seen)
+                    return seq + (k,)
                 seen.add(c.rows)
                 scored.append((w, sum(map(mul, flat, flat)), c, seq + (k,)))
         if not scored:
             break
         scored.sort(key=lambda t: t[:2], reverse=True)
         beam = [(c, seq) for _, _, c, seq in scored[:PROBE_BEAM]]
-    return None, len(seen)
+    return None
 
 
 def _witness_probe(
     start: ExchangeMatrix, large: list[bool]
-) -> tuple[tuple[int, ...] | None, int]:
+) -> tuple[int, ...] | None:
     """Deterministic guided search for a weight->=3 witness.
 
     ``start`` has no heavy component and ``large`` flags the vertices of its
@@ -202,12 +207,10 @@ def _witness_probe(
     order, skipping balls already probed and balls whose subquiver rows equal
     those of one already probed, and maps the first witness back to
     ``start``'s labels (it mutates the ball's block of ``start`` as it
-    mutated the subquiver).  Returns (witness, quivers examined over all
-    balls); (None, examined) means no ball gave a witness, which is expected
-    for mutation-finite classes.
+    mutated the subquiver).  Returns None when no ball gives a witness,
+    which is expected for mutation-finite classes.
     """
     rows = start.rows
-    examined = 0
     balls, subquivers = set(), set()
     for v in compress(range(start.n), large):
         ball = _ball(start, v)
@@ -218,11 +221,10 @@ def _witness_probe(
         if sub in subquivers:
             continue  # _beam_search depends only on the rows: the same miss
         subquivers.add(sub)
-        witness, count = _beam_search(ExchangeMatrix(sub))
-        examined += count
+        witness = _beam_search(ExchangeMatrix(sub))
         if witness is not None:
-            return tuple(ball[k] for k in witness), examined
-    return None, examined
+            return tuple(ball[k] for k in witness)
+    return None
 
 
 def _checked_replay(start: ExchangeMatrix, witness) -> int:
@@ -354,10 +356,10 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     large = _large_component_vertices(start)
     if max(map(max, compress(start.rows, large)), default=0) >= 3:
         return _infinite(max_w, (), 1)
-    witness, probed = _witness_probe(start, large)
+    witness = _witness_probe(start, large)
     if witness is not None:
         max_w = max(max_w, _checked_replay(start, witness))
-        return _infinite(max_w, witness, probed)
+        return _infinite(max_w, witness, 1)
     key, perm = canonical_form(start)
     key = key.hex()
     seen = {key: 0}  # key -> bits of canonical vertices leading to seen keys

@@ -85,11 +85,15 @@ def test_cached_and_uncached_grids_agree(grid7, grid_cache):
         assert row.cluster == warm[cell].cluster, cell
 
 
-def test_inconclusive_not_reused_at_larger_cap(tmp_path):
+def test_inconclusive_not_reused_at_larger_cap(tmp_path, explored):
     start = initial_quiver(GrassmannianSpec(2, 6))  # A5, 19 members
     [small] = explore_classes([start], 10, cache_dir=tmp_path)
     assert small.classification is Classification.INCONCLUSIVE
+    # an inconclusive entry answers its own cap, and no other
+    assert explore_classes([start], 10, cache_dir=tmp_path) == [small]
+    assert len(explored()) == 1
     [full] = explore_classes([start], cache_dir=tmp_path)
+    assert len(explored()) == 2
     assert full.classification is Classification.FINITE_TYPE
     assert full.class_size == 19
     # a later run at the small cap gives what explore gives at that cap
@@ -99,16 +103,22 @@ def test_inconclusive_not_reused_at_larger_cap(tmp_path):
 
 
 def test_stored_report_served_only_where_explore_agrees(tmp_path, explored):
-    start = initial_quiver(GrassmannianSpec(2, 6))  # A5, 19 members
-    [full] = explore_classes([start], cache_dir=tmp_path)
-    # the class fits in caps of 19 and more, so these read the stored report
-    assert explore_classes([start], 19, cache_dir=tmp_path) == [full]
-    assert explore_classes([start], 2 * DEFAULT_CAP, cache_dir=tmp_path) == [full]
-    assert len(explored()) == 1
-    [small] = explore_classes([start], 18, cache_dir=tmp_path)
-    assert len(explored()) == 2
-    assert small.classification is Classification.INCONCLUSIVE
-    assert small.explored == 18
+    # A5 (finite, 19 members), E7(1,1) (finite-mutation, 506) and (4,5),
+    # whose witness the probe finds: explore(start, c) gives the stored
+    # report iff c >= its explored count, and only then is it read
+    for p, q, count in [(2, 6, 19), (4, 4, 506), (4, 5, 1)]:
+        start = initial_quiver(GrassmannianSpec(p, q))
+        cache_dir = tmp_path / f"{p}-{q}"
+        [stored] = explore_classes([start], cache_dir=cache_dir)
+        caps = sorted({1, 10, count - 1, count, DEFAULT_CAP, 2 * DEFAULT_CAP} - {0})
+        hits = []
+        for cap in caps:
+            calls = len(explored())
+            [cached] = explore_classes([start], cap, cache_dir=cache_dir)
+            hits.append(len(explored()) == calls)
+            assert [cached] == explore_classes([start], cap), (p, q, cap)
+        assert hits == [cap >= count for cap in caps], (p, q)
+        assert stored.explored == count
 
 
 def test_cached_cell_at_smaller_cap_matches_uncached(tmp_path):
@@ -129,6 +139,26 @@ def test_inconclusive_never_replaces_larger_cap_entry(tmp_path, explored):
     assert len(explored()) == 2
     assert again == full
     assert again.class_size == 506
+
+
+@pytest.mark.parametrize("tamper", ["class-size", "schema-2"])
+def test_corrupt_entry_replaced_by_inconclusive_recompute(tmp_path, caplog, tamper):
+    classify_cell(4, 4, cache_dir=tmp_path)  # E7(1,1), 506 members
+    (path,) = tmp_path.glob("*.json")
+    payload = json.loads(path.read_text())
+    if tamper == "class-size":
+        payload["report"]["class_size"] = 7
+    else:  # as written before the stored cap was dropped
+        payload["schema_version"], payload["cap"] = 2, DEFAULT_CAP
+    path.write_text(json.dumps(payload))
+    uncached = classify_cell(4, 4, cap=100)
+    with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
+        assert classify_cell(4, 4, cap=100, cache_dir=tmp_path) == uncached
+        assert len(caplog.records) == 1
+        # the recompute replaced the corrupt entry, which warns no more
+        assert classify_cell(4, 4, cap=100, cache_dir=tmp_path) == uncached
+    assert len(caplog.records) == 1
+    assert json.loads(path.read_text())["report"]["explored"] == 100
 
 
 def test_witness_in_caller_labels(explored):
@@ -175,18 +205,18 @@ def test_store_leaves_foreign_temp_file(tmp_path):
     path = cache_path(tmp_path, key)
     foreign = path.with_suffix(".tmp")
     foreign.write_text("half-written by another run")
-    assert store_report(tmp_path, key, report, DEFAULT_CAP) == path
+    assert store_report(tmp_path, key, report) == path
     assert foreign.read_text() == "half-written by another run"
     assert load_report(tmp_path, key, DEFAULT_CAP) == report
     assert sorted(tmp_path.iterdir()) == sorted([path, foreign])
 
 
-def test_entry_without_cap_is_corrupt(tmp_path):
+def test_entry_without_start_key_is_corrupt(tmp_path):
     start = initial_quiver(GrassmannianSpec(3, 3))
     key = canonical_key(start)
-    path = store_report(tmp_path, key, explore(start), DEFAULT_CAP)
+    path = store_report(tmp_path, key, explore(start))
     payload = json.loads(path.read_text())
-    del payload["cap"]
+    del payload["start_key"]
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheCorrupt):
         load_report(tmp_path, key, DEFAULT_CAP)

@@ -338,22 +338,22 @@ def _dense_beam(rows):
             for k in range(n):
                 c = _dense_mutate(m, k)
                 if _dense_heavy(c):
-                    return seq + (k,), len(seen)
+                    return seq + (k,)
                 if c in seen:
                     continue
                 seen.add(c)
                 ss = sum(x * x for row in c for x in row)
                 scored.append(((_dense_max_weight(c), ss), c, seq + (k,)))
         if not scored:
-            return None, len(seen)
+            return None
         scored.sort(key=lambda t: t[0], reverse=True)
         beam = [(c, seq) for _, c, seq in scored[:4]]
-    return None, len(seen)
+    return None
 
 
 def _dense_probe(rows):
     size_of = _dense_component_sizes(rows)
-    examined, probed = 0, []
+    probed = []
     for v in range(len(rows)):
         if size_of[v] < 3:
             continue
@@ -362,11 +362,10 @@ def _dense_probe(rows):
         if set(ball) in probed or sub in probed:
             continue
         probed += [set(ball), sub]
-        witness, count = _dense_beam(sub)
-        examined += count
+        witness = _dense_beam(sub)
         if witness is not None:
-            return tuple(ball[k] for k in witness), examined
-    return None, examined
+            return tuple(ball[k] for k in witness)
+    return None
 
 
 def _tree_shape_name(m):
@@ -426,13 +425,13 @@ def _dense_explore(start, cap, probe=True, mutate=_dense_mutate):
     max_w = _dense_max_weight(rows)
     if _dense_heavy(rows):
         return infinite(max_w, (), 1), "start"
-    witness, probed = _dense_probe(rows) if probe else (None, 0)
+    witness = _dense_probe(rows) if probe else None
     if witness is not None:
         m = rows
         for k in witness:
             m = _dense_mutate(m, k)
             max_w = max(max_w, _dense_max_weight(m))
-        return infinite(max_w, witness, probed), "probe"
+        return infinite(max_w, witness, 1), "probe"
     seen = {canonical_key(start).hex(): start}
     queue = deque([(rows, ())])
     while queue:
@@ -654,9 +653,9 @@ def test_heavy_component_matches_dense_reference():
 
 
 def test_probe_matches_dense_reference_on_misses():
-    # reports hide what a probe miss examined, so compare the probe itself,
-    # on starts with no heavy component; an A13 path has only two distinct
-    # balls of 12 vertices
+    # a miss leaves no trace in the report, so compare the probe's witness
+    # itself, on starts with no heavy component; an A13 path has only two
+    # distinct balls of 12 vertices
     rng = random.Random(1100)
     path = initial_quiver(GrassmannianSpec(2, 14))
     perm = list(range(path.n))
@@ -672,16 +671,18 @@ def test_probe_matches_dense_reference_on_misses():
 
 def test_probe_skips_repeated_subquivers():
     # the balls of a grid path that lie away from its ends have equal
-    # subquiver rows, so A20 and A30 examine the same quivers
+    # subquiver rows, so A20 and A30 each beam-search two balls: every other
+    # ball repeats the vertex set or the rows of one already probed
+    explore_module = importlib.import_module("quiver_atlas.explore")
     counts = []
     for q in (21, 31):
         start = initial_quiver(GrassmannianSpec(2, q))
-        witness, examined = _witness_probe(
-            start, _large_component_vertices(start)
-        )
-        assert witness is None
-        counts.append(examined)
-    assert counts[0] == counts[1]
+        with mock.patch.object(
+            explore_module, "_beam_search", wraps=explore_module._beam_search
+        ) as beam_search:
+            assert _witness_probe(start, _large_component_vertices(start)) is None
+        counts.append(beam_search.call_count)
+    assert counts == [2, 2]
 
 
 def _hidden_triangle(a=2, b=2, c=2):
@@ -701,7 +702,7 @@ def _probe_misses(monkeypatch):
     # the package's ``explore`` function shadows the submodule's name
     explore_module = importlib.import_module("quiver_atlas.explore")
     monkeypatch.setattr(
-        explore_module, "_witness_probe", lambda start, large: (None, 0)
+        explore_module, "_witness_probe", lambda start, large: None
     )
 
 

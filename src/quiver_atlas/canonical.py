@@ -20,9 +20,21 @@ A refinement round only splits cells and keeps their order, since a
 vertex's signature starts with its own color.  So a round that leaves the
 number of cells unchanged has relabelled the colors by a strictly
 increasing map, and the next round would return the same colors again:
-refinement stops there, one round before the colors repeat.  Each vertex's
-nonzero (neighbour, weight) pairs are listed once per canonical form rather
-than read off full rows every round.
+refinement stops there, one round before the colors repeat.  A discrete
+coloring (n cells) cannot split further, so refinement also stops at the
+first round that makes it; almost every form of a mutation class ends
+there.  Each vertex's nonzero (neighbour, weight) pairs are listed once per
+canonical form rather than read off full rows every round.  The first round
+from the all-zero coloring ranks each vertex by its sorted nonzero weights
+alone, and is run once before the search.
+
+In a signature, a neighbour of color c joined by weight x is the integer
+c * 2**64 + 2**63 + x rather than the pair (c, x).  An exchange matrix keeps
+|x| <= 2**63 - 1 (see :mod:`quiver_atlas.matrix`), so 2**63 + x lies in
+[1, 2**64) and the code is strictly increasing in (c, x) for every integer
+color, including the -1 of an individualised vertex.  Sorted codes thus
+rank exactly as sorted pairs would, and keys and permutations do not depend
+on the coding.
 
 The backtracking prunes automorphic branches (McKay and Piperno, *Practical
 graph isomorphism II*, 2014).  Automorphisms come from twin vertices
@@ -38,10 +50,12 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 
 from .matrix import ExchangeMatrix
+
+_HALF = 1 << 63  # 2**63 + x lies in [1, 2**64) for every entry x
 
 
 @dataclass(frozen=True)
@@ -56,9 +70,15 @@ class QuiverKey:
         return self.data.hex()
 
 
-def _neighbours(rows, n):
+def _neighbours(rows):
     """Per vertex, the (w, b_vw) of its nonzero entries, in index order."""
-    return [[(w, x) for w, x in enumerate(rows[v]) if x] for v in range(n)]
+    return [list(compress(enumerate(row), row)) for row in rows]
+
+
+def _ranks(sigs):
+    """Each signature's rank among the distinct ones, as a tuple."""
+    ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
+    return tuple([ranks[s] for s in sigs])
 
 
 def _refine(nbrs, colors, n):
@@ -66,20 +86,27 @@ def _refine(nbrs, colors, n):
 
     ``nbrs`` is :func:`_neighbours` of the rows.  Colors are normalized to
     ranks of sorted signatures each round, so the result depends only on the
-    quiver up to relabeling.  The first round that leaves the number of
-    cells unchanged has reached the fixed point (see the module docstring).
+    quiver up to relabeling.  At least one round is run, so the result is
+    normalized even when ``colors`` is discrete.  A neighbour w of color c
+    joined by weight x is coded as the integer c * 2**64 + 2**63 + x: with
+    |x| < 2**63 that is strictly increasing in (c, x), so the ranks are
+    those of sorted (c, x) pairs.  Refinement stops at the first round that
+    is discrete or leaves the number of cells unchanged (see the module
+    docstring).
     """
     cells = len(set(colors))
     while True:
-        sigs = [
-            (colors[v], tuple(sorted([(colors[w], x) for w, x in nbrs[v]])))
-            for v in range(n)
-        ]
-        ranks = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = tuple([ranks[s] for s in sigs])
-        if len(ranks) == cells:
+        code = [(c << 64) + _HALF for c in colors]
+        new = _ranks(
+            [
+                (colors[v], tuple(sorted([code[w] + x for w, x in nbrs[v]])))
+                for v in range(n)
+            ]
+        )
+        count = max(new) + 1  # ranks are 0..count-1
+        if count == cells or count == n:
             return new
-        colors, cells = new, len(ranks)
+        colors, cells = new, count
 
 
 def _twin_swaps(rows, n):
@@ -171,8 +198,10 @@ def _canonical_flat(rows, n):
     if all(x == 0 for row in rows for x in row):
         # zero matrix: every labeling gives the same key; keep the identity
         return tuple(0 for _ in range(n * n)), tuple(range(n))
-    nbrs = _neighbours(rows, n)
-    search((0,) * n, ())
+    nbrs = _neighbours(rows)
+    # the first round from the all-zero coloring, where a signature is just
+    # the vertex's sorted nonzero weights
+    search(_ranks([tuple(sorted(filter(None, row))) for row in rows]), ())
     return best_flat, tuple(best_perm)
 
 

@@ -181,7 +181,8 @@ def verify(cap, workers, cache_dir, no_cache):
 def selftest(seed, cases):
     """Randomized property checks: the dense mutation formula, restriction
     to a full subquiver, involution, equivariance, canonical keys (also of
-    relabelled stars and disjoint 3-cycles)."""
+    relabelled stars, disjoint 3-cycles and quivers with entries up to
+    2**62)."""
     rng = random.Random(seed)
     failures = []
 
@@ -200,11 +201,18 @@ def selftest(seed, cases):
 
         return tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
 
-    def random_quiver(n):
+    def small_weight():
+        return rng.randint(-3, 3)
+
+    def wide_weight():
+        # far beyond a byte: refinement codes and key escapes at full width
+        return rng.choice([0, 1, 2, 2**31, 2**62]) * rng.choice([1, -1])
+
+    def random_quiver(n, weight=small_weight):
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                w = rng.randint(-3, 3)
+                w = weight()
                 rows[i][j] = w
                 rows[j][i] = -w
         return ExchangeMatrix.from_rows(rows)
@@ -225,6 +233,17 @@ def selftest(seed, cases):
         for i, j in edges:
             rows[i][j], rows[j][i] = 1, -1
         return ExchangeMatrix.from_rows(rows)
+
+    def check_relabelled(m, what):
+        # a relabelling keeps the key, and the returned permutation realises it
+        perm = list(range(m.n))
+        rng.shuffle(perm)
+        pm = m.permuted(perm)
+        key, cperm = canonical_form(pm)
+        if canonical_key(m).data != key.data:
+            failures.append(f"canonical invariance, {what}")
+        if _pack(pm.permuted(cperm).rows) != key.data:
+            failures.append(f"canonical permutation, {what}")
 
     for case in range(cases):
         n = rng.randint(1, 8)
@@ -257,15 +276,9 @@ def selftest(seed, cases):
         key, cperm = canonical_form(m)
         if _pack(m.permuted(cperm).rows) != key.data:
             failures.append(f"canonical permutation case {case}")
-        sym = symmetric_quiver()
-        perm = list(range(sym.n))
-        rng.shuffle(perm)
-        psym = sym.permuted(perm)
-        key, cperm = canonical_form(psym)
-        if canonical_key(sym).data != key.data:
-            failures.append(f"symmetric canonical invariance case {case}")
-        if _pack(psym.permuted(cperm).rows) != key.data:
-            failures.append(f"symmetric canonical permutation case {case}")
+        check_relabelled(symmetric_quiver(), f"symmetric case {case}")
+        wide = random_quiver(rng.randint(2, 8), wide_weight)
+        check_relabelled(wide, f"wide case {case}")
     for f in failures[:10]:
         click.echo(f"FAIL {f}", err=True)
     if failures:

@@ -4,7 +4,8 @@ A quiver (finite directed graph, no loops, no 2-cycles) is encoded by its
 exchange matrix B = (b_ij), where b_ij is the number of arrows i -> j minus
 the number of arrows j -> i.  All arithmetic in this module is exact integer
 arithmetic; entries are required to stay within signed 64-bit range so that
-serialized matrices are portable.
+serialized matrices are portable.  Since b_ji = -b_ij, that means
+|b_ij| <= 2**63 - 1: -2**63 is ruled out because its negation is not int64.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class ExchangeMatrix:
                     raise NotSkewSymmetric(
                         f"b[{i}][{j}] = {rows[i][j]} but b[{j}][{i}] = {rows[j][i]}"
                     )
-                if not (INT64_MIN <= rows[i][j] <= INT64_MAX):
+                if not (-INT64_MAX <= rows[i][j] <= INT64_MAX):
                     raise ArithmeticOverflow(
                         f"entry ({i},{j}) outside 64-bit range"
                     )
@@ -137,6 +138,7 @@ class ExchangeMatrix:
             scale, through = (bik, out_k) if bik > 0 else (-bik, in_k)
             for j in through:
                 v = row[j] + scale * bk[j]
+                # v = -2**63 is caught at its mirror entry, 2**63
                 if not (INT64_MIN <= v <= INT64_MAX):
                     raise ArithmeticOverflow(
                         f"mutation at {k} overflows entry ({i},{j})"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from contextlib import contextmanager
 from unittest import mock
@@ -115,18 +116,25 @@ def test_canonical_permutation_realizes_key():
         assert unpack_key(key.data) == m.permuted(perm).rows
 
 
+# magnitudes around the key's escape boundaries, up to the int64 bound
+WIDE = [127, 128, 129, 255, 256, 2**31, 2**40, 2**63 - 1]
+
+
+def wide_quiver(rng, n, magnitudes):
+    """A random quiver whose entries are the given magnitudes, either sign."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.choice(magnitudes) * rng.choice([1, -1])
+            rows[i][j], rows[j][i] = x, -x
+    return from_matrix(rows)
+
+
 def test_key_decodes_to_canonical_matrix_with_wide_entries():
     # entries around the escape boundaries and far beyond a byte
     rng = random.Random(6)
-    wide = [127, 128, 129, 255, 256, 2**31, 2**40, 2**63 - 1]
     for _ in range(200):
-        n = rng.randint(2, 7)
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                x = rng.choice([0, 1, 2] + wide) * rng.choice([1, -1])
-                rows[i][j], rows[j][i] = x, -x
-        m = from_matrix(rows)
+        m = wide_quiver(rng, rng.randint(2, 7), [0, 1, 2] + WIDE)
         key, perm = canonical_form(m)
         assert unpack_key(key.data) == m.permuted(perm).rows
 
@@ -273,10 +281,10 @@ def full_scan_refine(rows, colors, n):
 def test_refine_matches_full_scan_refine():
     # the oracle scans full rows and stops only when a round changes nothing
     rng = random.Random(77)
-    for _ in range(300):
-        n = rng.randint(1, 9)
-        rows = random_quiver(rng, n, -3, 3).rows
-        nbrs = _neighbours(rows, n)
+
+    def check(m):
+        rows, n = m.rows, m.n
+        nbrs = _neighbours(rows)
         zero = (0,) * n
         fixed = full_scan_refine(rows, zero, n)
         assert _refine(nbrs, zero, n) == fixed
@@ -284,6 +292,19 @@ def test_refine_matches_full_scan_refine():
         for colors in (zero, fixed):
             colors = tuple(-1 if w == v else c for w, c in enumerate(colors))
             assert _refine(nbrs, colors, n) == full_scan_refine(rows, colors, n)
+        # already discrete but carrying -1, as individualising a 2-cell
+        # leaves it: the result is still normalized ranks
+        discrete = tuple(rng.sample(range(-1, n - 1), n))
+        assert _refine(nbrs, discrete, n) == full_scan_refine(rows, discrete, n)
+
+    for _ in range(300):
+        check(random_quiver(rng, rng.randint(1, 9), -3, 3))
+    # entries up to the int64 bound, where a neighbour's code uses its
+    # whole 64-bit stride
+    for _ in range(100):
+        check(wide_quiver(rng, rng.randint(2, 9), [0, 1, 2, 3] + WIDE))
+    a3 = from_matrix(A3_PATH)
+    assert _refine(_neighbours(a3.rows), (-1, 0, 1), 3) == (0, 1, 2)
 
 
 def unpruned_flat(rows, n):
@@ -428,3 +449,32 @@ def test_pruned_search_stays_polynomial(m):
     for _ in range(5):
         with search_nodes_at_most(m.n**2):
             canonical_form(relabel(rng, m))
+
+
+# sha256 of the canonical forms of pinned_corpus(), as first computed
+PINNED_DIGEST = "b6a5e49f048375fedad0ff26ac6ac579fcc969a51d2995b9a56b38b713df1e3d"
+
+
+def pinned_corpus():
+    """Seeded quivers whose canonical forms are pinned by digest: random
+    ones, ones with entries far beyond a byte, and relabelled symmetric ones."""
+    rng = random.Random(1717)
+    for _ in range(300):
+        yield random_quiver(rng, rng.randint(1, 9), -3, 3)
+    for _ in range(50):
+        magnitudes = [0, 1, 2, 127, 128, 2**40, 2**63 - 1]
+        yield wide_quiver(rng, rng.randint(2, 7), magnitudes)
+    symmetric = [star(6), star(7), star(8), copies(CYCLE3, 4), copies(CYCLE3, 5)]
+    symmetric += [copies(A2, 6), copies(A2, 7)]
+    for i in range(40):
+        yield relabel(rng, symmetric[i % len(symmetric)])
+
+
+def test_canonical_forms_digest_pinned():
+    # keys name cache files and fingerprint classes: a change to refinement
+    # or backtracking must leave every key and permutation as it is
+    h = hashlib.sha256()
+    for m in pinned_corpus():
+        key, perm = canonical_form(m)
+        h.update(repr((key.data, perm)).encode())
+    assert h.hexdigest() == PINNED_DIGEST

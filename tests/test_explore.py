@@ -244,6 +244,25 @@ def test_report_fingerprint_matches_members():
     assert rep.fingerprint == class_fingerprint(rep.member_keys)
 
 
+# Fingerprints of the grid classes, as first computed.  A fingerprint hashes
+# every member key, so these pin the keys of whole classes.
+PINNED_FINGERPRINTS = {
+    (3, 5): "5c59143da561fa89b977e86f79d73b8ab1e2eedda6b7f645a3a75a8f5920f840",
+    (4, 4): "89efa472e8fa9983f3961cb80452e50e4f6631fb640db7120f6cf278679f9caa",
+    (2, 10): "3cdc38485c38d1c27c9d8bb82e5dce05782327ef0ad2a6492dd13c72c9586812",
+    (3, 6): "c32cb10574b5ad747524b34dbfb488717500f217028318320c83d286f68be2e3",
+}
+
+
+@pytest.mark.parametrize(
+    "cell", list(PINNED_FINGERPRINTS), ids=["E8", "E7(1,1)", "A9", "E8(1,1)"]
+)
+def test_grid_class_fingerprints_pinned(grid12, cell):
+    # grid12 is computed once per session for the acceptance tests, so the
+    # 5739-member E8(1,1) class costs nothing extra here
+    assert grid12[cell].cluster.fingerprint == PINNED_FINGERPRINTS[cell]
+
+
 def test_determinism_of_reports():
     rng = random.Random(3)
     for _ in range(20):

@@ -221,12 +221,27 @@ class TestSparseMutation:
             ArithmeticOverflow,
             "entry (0,1) outside 64-bit range",
         ),
+        (
+            # in int64, but its mirror 2**63 is not
+            [[0, -(2**63)], [2**63, 0]],
+            ArithmeticOverflow,
+            "entry (0,1) outside 64-bit range",
+        ),
         # not rounded to the oriented A2
         ([[0, 1.7], [-1.2, 0]], ParseError, "non-integer entry at row 0, column 1"),
         # not parsed into a weight-3 arrow
         ([["0", "3"], ["-3", "0"]], ParseError, "non-integer entry at row 0, column 0"),
     ],
-    ids=["ragged", "diagonal", "skew", "first-fault", "range", "float", "string"],
+    ids=[
+        "ragged",
+        "diagonal",
+        "skew",
+        "first-fault",
+        "range",
+        "range-int64-min",
+        "float",
+        "string",
+    ],
 )
 def test_from_rows_errors_keep_class_and_message(rows, error, message):
     with pytest.raises(error) as err:

@@ -54,7 +54,8 @@ class CacheCorrupt(QuiverError):
 
 
 def default_cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR))
+    """$ATLAS_CACHE, or ./.atlas-cache when it is unset or empty."""
+    return Path(os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR)
 
 
 def cache_path(cache_dir: Path, key: QuiverKey) -> Path:

@@ -7,6 +7,8 @@ the surviving candidate orderings.  Among all labelings compatible with the
 refinement, the one whose row-major entries are lexicographically smallest
 is chosen, so the resulting key is deterministic across runs and platforms,
 invariant under vertex relabeling, and equal keys imply isomorphic quivers.
+Leaves stay tuples of row tuples from the search to the key: every row has
+length n, so tuples of rows order exactly as their row-major entries do.
 
 The key packs that matrix: n, then its strict upper triangle row-major (a
 skew-symmetric matrix is zero on the diagonal and determined by it), each
@@ -14,7 +16,9 @@ number as one signed byte.  A number outside -127..127 is written as the
 escape byte 0x80 followed by its value as a little-endian signed 64-bit
 integer; entries stay within int64 and so does n.  The packing reads back
 unambiguously, so equal keys mean equal canonical matrices, and a key of
-rank 10 takes 46 bytes instead of the 240 or so of its JSON rows.
+rank 10 takes 46 bytes instead of the 240 or so of its JSON rows.  The same
+packer keys :func:`quiver_atlas.explore.explore`'s per-level memo of child
+rows; it is the only code that turns a matrix into bytes.
 
 A refinement round only splits cells and keeps their order, since a
 vertex's signature starts with its own color.  So a round that leaves the
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import compress
 from operator import itemgetter
 
 from .matrix import ExchangeMatrix
@@ -129,24 +133,26 @@ def _twin_swaps(rows, n):
     return swaps
 
 
-def _canonical_flat(rows, n):
-    """Return (flat row-major tuple, permutation old->new) of the canonical form."""
-    best_flat = None
+def _canonical_rows(rows, n):
+    """Return (rows, permutation old->new) of the canonical form.
+
+    Leaves are tuples of row tuples (see the module docstring)."""
+    best_rows = None
     best_perm = None
     best_inv = None
     autos = []  # automorphisms found so far, each as a list old -> image
 
     def visit_leaf(colors):
-        nonlocal best_flat, best_perm, best_inv
+        nonlocal best_rows, best_perm, best_inv
         inv = [0] * n
         for v, c in enumerate(colors):
             inv[c] = v
         # n >= 2 here (n = 1 is a zero matrix): itemgetter returns tuples
         pick = itemgetter(*inv)
-        flat = tuple(chain.from_iterable(map(pick, pick(rows))))
-        if best_flat is None or flat < best_flat:
-            best_flat, best_perm, best_inv = flat, colors, inv
-        elif flat == best_flat:
+        leaf = tuple(map(pick, pick(rows)))
+        if best_rows is None or leaf < best_rows:
+            best_rows, best_perm, best_inv = leaf, colors, inv
+        elif leaf == best_rows:
             g = [0] * n
             for b, v in zip(best_inv, inv):
                 g[b] = v
@@ -197,12 +203,12 @@ def _canonical_flat(rows, n):
 
     if all(x == 0 for row in rows for x in row):
         # zero matrix: every labeling gives the same key; keep the identity
-        return tuple(0 for _ in range(n * n)), tuple(range(n))
+        return rows, tuple(range(n))
     nbrs = _neighbours(rows)
     # the first round from the all-zero coloring, where a signature is just
     # the vertex's sorted nonzero weights
     search(_ranks([tuple(sorted(filter(None, row))) for row in rows]), ())
-    return best_flat, tuple(best_perm)
+    return best_rows, tuple(best_perm)
 
 
 def _packed_number(x: int) -> bytes:
@@ -232,10 +238,8 @@ def canonical_form(m: ExchangeMatrix) -> tuple[QuiverKey, tuple[int, ...]]:
     ``key.data`` is the packing (see the module docstring) of
     ``m.permuted(perm)``, the canonical matrix.
     """
-    n = m.n
-    flat, perm = _canonical_flat(m.rows, n)
-    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
-    return QuiverKey(_pack(rows), n), perm
+    rows, perm = _canonical_rows(m.rows, m.n)
+    return QuiverKey(_pack(rows), m.n), perm
 
 
 def canonical_key(m: ExchangeMatrix) -> QuiverKey:

@@ -41,9 +41,10 @@ The closure also canonicalises each distinct child once per BFS level.
 Two mutations at vertices j, k with b_jk = 0 commute, mu_j mu_k = mu_k mu_j
 (the squares of the exchange graph, Fomin-Zelevinsky, *Cluster algebras
 II*), so two parents on one level often produce the same child rows.
-Rows equal to rows already met on the level, packed one signed byte per
-entry, reuse the key and permutation computed for them, which still sets
-the duplicate's back edge.  The memo is emptied at each new level, so it
+Rows equal to rows already met on the level, packed as canonical keys are
+(:func:`quiver_atlas.canonical._pack`, injective on skew-symmetric matrices
+of one rank), reuse the key and permutation computed for them, which still
+sets the duplicate's back edge.  The memo is emptied at each new level, so it
 never holds more than one level's children.
 
 A probe miss is never a wrong answer, but it costs time.  On a
@@ -71,7 +72,6 @@ contract that produced it.
 from __future__ import annotations
 
 import hashlib
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -79,7 +79,7 @@ from functools import cache
 from itertools import chain, compress
 from operator import mul
 
-from .canonical import canonical_form, canonical_key
+from .canonical import _pack, canonical_form, canonical_key
 from .matrix import ExchangeMatrix, QuiverError
 
 DEFAULT_CAP = 10**6
@@ -384,10 +384,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
                 witness = seq + (k,)
                 _checked_replay(start, witness)
                 return _infinite(max_w, witness, len(seen))
-            try:  # one signed byte per entry keeps the memo small
-                packed = array("b", chain.from_iterable(crows)).tobytes()
-            except OverflowError:
-                packed = crows
+            packed = _pack(crows)
             form = met.get(packed)
             if form is None:
                 key, perm = canonical_form(child)

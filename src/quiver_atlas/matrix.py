@@ -47,6 +47,10 @@ class ArithmeticOverflow(QuiverError, OverflowError):
     """Raised when a mutation would push an entry outside 64-bit range."""
 
 
+class InvalidPermutation(QuiverError, ValueError):
+    """Raised when a relabelling is not a permutation of 0..n-1."""
+
+
 @dataclass(frozen=True)
 class ExchangeMatrix:
     """Immutable skew-symmetric integer matrix encoding a quiver.
@@ -163,8 +167,15 @@ class ExchangeMatrix:
         return max(map(max, self.rows))
 
     def permuted(self, perm) -> "ExchangeMatrix":
-        """Relabel vertices: old vertex i becomes perm[i] in the result."""
+        """Relabel vertices: old vertex i becomes perm[i] in the result.
+
+        Raises InvalidPermutation unless ``perm`` lists 0..n-1 in some order.
+        """
         n = self.n
+        if sorted(perm) != list(range(n)):
+            raise InvalidPermutation(
+                f"{list(perm)} is not a permutation of 0..{n - 1}"
+            )
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old

@@ -3,13 +3,16 @@
 import json
 import logging
 import os
+from pathlib import Path
 
 import pytest
 
 import quiver_atlas.cache as cache_mod
 from quiver_atlas.cache import (
     CacheCorrupt,
+    DEFAULT_CACHE_DIR,
     cache_path,
+    default_cache_dir,
     explore_classes,
     load_report,
     store_report,
@@ -277,3 +280,13 @@ def test_disconnected_finite_class_through_cache(tmp_path, caplog, explored):
     assert cold.classification is Classification.FINITE_TYPE
     assert cold.class_size == 4
     assert cold.type_name is None
+
+
+@pytest.mark.parametrize(
+    "value, expected", [("", DEFAULT_CACHE_DIR), ("elsewhere", "elsewhere")]
+)
+def test_cache_env_var_names_default_cache_dir(monkeypatch, value, expected):
+    """An empty $ATLAS_CACHE counts as unset, so cache files never land in
+    the working directory."""
+    monkeypatch.setenv(cache_mod.CACHE_ENV_VAR, value)
+    assert default_cache_dir() == Path(expected)

@@ -533,15 +533,32 @@ def _random_tree_quiver(rng, n):
     return from_matrix(rows)
 
 
+def _wide_component_start(rng, x):
+    """A random oriented tree on 3-6 vertices plus a disjoint 2-vertex
+    component of weight x, randomly relabelled.  Only such starts put
+    entries outside -127..127 into memo keys: a heavier entry inside a
+    component of >= 3 vertices ends explore first."""
+    t = rng.randint(3, 6)
+    rows = [list(r) + [0, 0] for r in _random_tree_quiver(rng, t).rows]
+    rows += [[0] * t + [0, x], [0] * t + [-x, 0]]
+    perm = list(range(t + 2))
+    rng.shuffle(perm)
+    return from_matrix(rows).permuted(perm)
+
+
 def test_explore_matches_unmemoised_reference_random():
     rng = random.Random(1200)
-    endings = set()
+    starts = []
     for _ in range(40):
         n = rng.randint(3, 7)
         if rng.random() < 0.5:
-            start = _random_tree_quiver(rng, n)
+            starts.append(_random_tree_quiver(rng, n))
         else:
-            start = random_quiver(rng, n, *rng.choice([(-1, 1), (-2, 2)]))
+            starts.append(random_quiver(rng, n, *rng.choice([(-1, 1), (-2, 2)])))
+    for x in (127, 128, -128, 2**40, 2**63 - 1) * 3:
+        starts.append(_wide_component_start(rng, x))
+    endings = set()
+    for start in starts:
         for cap in (1, 50, 2000):
             endings.add(_assert_same_as_unmemoised(start, cap))
     assert endings >= {"probe", "cap", "finite", "finite-mutation"}

@@ -6,6 +6,7 @@ from quiver_atlas.matrix import (
     ArithmeticOverflow,
     EmptyMatrix,
     ExchangeMatrix,
+    InvalidPermutation,
     NotSkewSymmetric,
     ParseError,
     VertexOutOfRange,
@@ -113,6 +114,18 @@ class TestMutation:
         )
         with pytest.raises(ArithmeticOverflow):
             m.mutate(1)
+
+
+@pytest.mark.parametrize(
+    "perm",
+    [[0, 0, 1], [1, 0], [0, 1, 2, 3], [0, 1, 5], [0, -1, 2]],
+    ids=["duplicate", "short", "long", "out-of-range", "negative"],
+)
+def test_permuted_rejects_non_permutation(perm):
+    m = from_matrix(A3_PATH)
+    with pytest.raises(InvalidPermutation) as err:
+        m.permuted(perm)
+    assert isinstance(err.value, ValueError)
 
 
 def dense_mutation(rows, k):

@@ -10,8 +10,10 @@ size, fingerprint and name as explore does; an entry that does not rebuild
 to itself is corrupt.  Corrupt files are ignored with a warning, removed
 and recomputed.  The report alone says which caps it answers (see
 :func:`load_report`), so an inconclusive report never replaces an entry
-that explored more classes.  Keys changed format with schema version 2, so
-files of version 1 are never read; schema 3 dropped the stored cap.
+that explored more classes.  Only files of the current schema version are
+read: keys changed format with schema 2, schema 3 dropped the stored cap,
+and schema 4 changed the keys of disconnected quivers (canonicalised
+component by component).
 
 :func:`explore_classes` is the one way to a report through the cache: one
 call is one run, which explores each distinct class of its starts at most
@@ -41,7 +43,7 @@ from .explore import (
 )
 from .matrix import ExchangeMatrix, QuiverError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 CACHE_ENV_VAR = "ATLAS_CACHE"
 DEFAULT_CACHE_DIR = ".atlas-cache"
@@ -116,7 +118,9 @@ def load_report(
         )
     except CacheCorrupt:
         raise
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+    except KeyError as e:
+        raise CacheCorrupt(f"corrupt cache file {path}: missing field {e}") from e
+    except (OSError, ValueError, TypeError, AttributeError) as e:
         raise CacheCorrupt(f"corrupt cache file {path}: {e}") from e
     return report if fits else None
 

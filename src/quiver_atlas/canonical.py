@@ -1,14 +1,25 @@
 """Canonical labeling of quivers up to vertex permutation.
 
-The canonical form is computed by weighted-degree partition refinement
-(vertices are colored by the multiset of signed incident weights and their
-neighbors' colors, iterated to a fixed point) followed by backtracking over
-the surviving candidate orderings.  Among all labelings compatible with the
-refinement, the one whose row-major entries are lexicographically smallest
-is chosen, so the resulting key is deterministic across runs and platforms,
-invariant under vertex relabeling, and equal keys imply isomorphic quivers.
-Leaves stay tuples of row tuples from the search to the key: every row has
-length n, so tuples of rows order exactly as their row-major entries do.
+Each connected component is canonicalised on its own (component recursion:
+Junttila and Kaski, *Conflict propagation and component recursion for
+canonical labeling*, 2011).  The canonical matrix of a quiver is block
+diagonal, one block per component, each block the component's canonical
+matrix; blocks run in the order of their packed key bytes, and equal blocks
+(isomorphic components) in the order of their smallest vertices.  The
+permutation is the components' permutations, each shifted to its block.  A
+connected quiver is its one block; a one-vertex component is the block
+(0,).  So the key is invariant under vertex relabeling, equal keys imply
+isomorphic quivers, and k copies of a component cost k times one.
+
+A connected component's form is computed by weighted-degree partition
+refinement (vertices are colored by the multiset of signed incident weights
+and their neighbors' colors, iterated to a fixed point) followed by
+backtracking over the surviving candidate orderings.  Among all labelings
+compatible with the refinement, the one whose row-major entries are
+lexicographically smallest is chosen, so the resulting key is deterministic
+across runs and platforms.  Leaves stay tuples of row tuples from the
+search to the key: every row has length n, so tuples of rows order exactly
+as their row-major entries do.
 
 The key packs that matrix: n, then its strict upper triangle row-major (a
 skew-symmetric matrix is zero on the diagonal and determined by it), each
@@ -134,7 +145,8 @@ def _twin_swaps(rows, n):
 
 
 def _canonical_rows(rows, n):
-    """Return (rows, permutation old->new) of the canonical form.
+    """Return (rows, permutation old->new) of the canonical form of a
+    connected quiver on n >= 2 vertices.
 
     Leaves are tuples of row tuples (see the module docstring)."""
     best_rows = None
@@ -147,7 +159,7 @@ def _canonical_rows(rows, n):
         inv = [0] * n
         for v, c in enumerate(colors):
             inv[c] = v
-        # n >= 2 here (n = 1 is a zero matrix): itemgetter returns tuples
+        # n >= 2 here: itemgetter returns tuples
         pick = itemgetter(*inv)
         leaf = tuple(map(pick, pick(rows)))
         if best_rows is None or leaf < best_rows:
@@ -201,9 +213,6 @@ def _canonical_rows(rows, n):
             explored.append(v)
             search(tuple(-1 if w == v else colors[w] for w in range(n)), fixed + (v,))
 
-    if all(x == 0 for row in rows for x in row):
-        # zero matrix: every labeling gives the same key; keep the identity
-        return rows, tuple(range(n))
     nbrs = _neighbours(rows)
     # the first round from the all-zero coloring, where a signature is just
     # the vertex's sorted nonzero weights
@@ -232,14 +241,55 @@ def _pack(rows) -> bytes:
     return data
 
 
+def _component_form(rows, comp):
+    """(rows, permutation) of the canonical form of the full subquiver on
+    the connected vertex set ``comp``, the permutation indexed like comp."""
+    size = len(comp)
+    if size == 1:
+        return ((0,),), (0,)
+    if size < len(rows):
+        pick = itemgetter(*comp)
+        rows = tuple(pick(rows[v]) for v in comp)
+    return _canonical_rows(rows, size)
+
+
+def _canonical_form(
+    m: ExchangeMatrix, components
+) -> tuple[QuiverKey, tuple[int, ...]]:
+    """:func:`canonical_form` of ``m``, block by block (see the module
+    docstring), given its connected components as
+    :meth:`ExchangeMatrix.components` lists them.  Mutation keeps the
+    components, so :func:`quiver_atlas.explore.explore` passes its start's
+    to every member."""
+    n = m.n
+    if len(components) == 1:
+        rows, perm = _component_form(m.rows, range(n))
+        return QuiverKey(_pack(rows), n), perm
+    blocks = []
+    for comp in components:
+        rows, perm = _component_form(m.rows, comp)
+        blocks.append((_pack(rows), rows, comp, perm))
+    blocks.sort(key=itemgetter(0))  # stable: equal blocks keep vertex order
+    canonical = []
+    perm = [0] * n
+    offset = 0
+    for _, rows, comp, block_perm in blocks:
+        size = len(comp)
+        left, right = (0,) * offset, (0,) * (n - offset - size)
+        canonical += [left + row + right for row in rows]
+        for v, p in zip(comp, block_perm):
+            perm[v] = offset + p
+        offset += size
+    return QuiverKey(_pack(canonical), n), tuple(perm)
+
+
 def canonical_form(m: ExchangeMatrix) -> tuple[QuiverKey, tuple[int, ...]]:
     """Canonical key and a permutation (old -> new) realizing it.
 
     ``key.data`` is the packing (see the module docstring) of
     ``m.permuted(perm)``, the canonical matrix.
     """
-    rows, perm = _canonical_rows(m.rows, m.n)
-    return QuiverKey(_pack(rows), m.n), perm
+    return _canonical_form(m, m.components())
 
 
 def canonical_key(m: ExchangeMatrix) -> QuiverKey:

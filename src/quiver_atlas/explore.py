@@ -14,10 +14,12 @@ Before the closure, a witness probe beam-searches the full subquiver on
 each ball of up to PROBE_BALL vertices (:func:`_witness_probe`).  Both
 searches rest on invariants of Fomin-Zelevinsky mutation at k:
 
-* connected components never change, so "lies in a component of >= 3
-  vertices" is computed once per call, and a quiver is heavy iff a row of
-  such a vertex has an entry >= 3 (skew-symmetry puts every |b_ij| >= 3 in
-  row i or row j, and i and j share a component);
+* connected components never change (mu_k keeps k joined to each of its
+  neighbours), so the start's components are computed once per call: every
+  member is canonicalised component by component from them, "lies in a
+  component of >= 3 vertices" is read off them, and a quiver is heavy iff
+  a row of such a vertex has an entry >= 3 (skew-symmetry puts every
+  |b_ij| >= 3 in row i or row j, and i and j share a component);
 * only the rows of k's neighbours change (row k merely changes sign), so
   the closure's heavy test and the largest weight seen read those rows;
 * mutation commutes with restriction: for k in a vertex set S, the S-block
@@ -79,7 +81,7 @@ from functools import cache
 from itertools import chain, compress
 from operator import mul
 
-from .canonical import _pack, canonical_form, canonical_key
+from .canonical import _canonical_form, _pack, canonical_key
 from .matrix import ExchangeMatrix, QuiverError
 
 DEFAULT_CAP = 10**6
@@ -132,7 +134,7 @@ def _has_heavy_component(m: ExchangeMatrix) -> bool:
     The weight criterion for infinite mutation type is false at rank 2, so
     heavy edges in 2-vertex components are ignored.
     """
-    rows = compress(m.rows, _large_component_vertices(m))
+    rows = compress(m.rows, _large_component_vertices(m.n, m.components()))
     return max(map(max, rows), default=0) >= 3
 
 
@@ -145,10 +147,11 @@ PROBE_BEAM = 4
 PROBE_BALL = 12
 
 
-def _large_component_vertices(m: ExchangeMatrix) -> list[bool]:
-    """Flags v in a connected component of >= 3 vertices (mutation-invariant)."""
-    large = [False] * m.n
-    for comp in m.components():
+def _large_component_vertices(n: int, components) -> list[bool]:
+    """Flags v in a connected component of >= 3 vertices (mutation-invariant),
+    given the components of a quiver on n vertices."""
+    large = [False] * n
+    for comp in components:
         if len(comp) >= 3:
             for v in comp:
                 large[v] = True
@@ -353,14 +356,15 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
         raise CapZero("exploration cap must be >= 1")
     n = start.n
     max_w = start.max_weight()
-    large = _large_component_vertices(start)
+    components = start.components()  # every member's, too
+    large = _large_component_vertices(n, components)
     if max(map(max, compress(start.rows, large)), default=0) >= 3:
         return _infinite(max_w, (), 1)
     witness = _witness_probe(start, large)
     if witness is not None:
         max_w = max(max_w, _checked_replay(start, witness))
         return _infinite(max_w, witness, 1)
-    key, perm = canonical_form(start)
+    key, perm = _canonical_form(start, components)
     key = key.hex()
     seen = {key: 0}  # key -> bits of canonical vertices leading to seen keys
     queue = deque([(start, (), key, perm)])
@@ -387,7 +391,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
             packed = _pack(crows)
             form = met.get(packed)
             if form is None:
-                key, perm = canonical_form(child)
+                key, perm = _canonical_form(child, components)
                 form = met[packed] = key.hex(), perm
             key, perm = form
             bits = seen.get(key)

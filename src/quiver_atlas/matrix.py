@@ -187,24 +187,22 @@ class ExchangeMatrix:
         )
 
     def components(self) -> list[list[int]]:
-        """Connected components of the underlying undirected graph."""
-        n = self.n
-        seen = [False] * n
+        """Connected components of the underlying undirected graph, each
+        sorted, in the order of their smallest vertices."""
+        rows = self.rows
+        vertices = range(len(rows))
+        seen = [False] * len(rows)
         comps = []
-        for s in range(n):
+        for s in vertices:
             if seen[s]:
                 continue
-            comp = [s]
             seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                rv = self.rows[v]
-                for w in range(n):
-                    if rv[w] != 0 and not seen[w]:
+            comp = [s]
+            for v in comp:  # comp grows while it is scanned
+                for w in compress(vertices, rows[v]):
+                    if not seen[w]:
                         seen[w] = True
                         comp.append(w)
-                        stack.append(w)
             comps.append(sorted(comp))
         return comps
 

@@ -144,15 +144,17 @@ def test_inconclusive_never_replaces_larger_cap_entry(tmp_path, explored):
     assert again.class_size == 506
 
 
-@pytest.mark.parametrize("tamper", ["class-size", "schema-2"])
+@pytest.mark.parametrize("tamper", ["class-size", "schema-2", "schema-3"])
 def test_corrupt_entry_replaced_by_inconclusive_recompute(tmp_path, caplog, tamper):
     classify_cell(4, 4, cache_dir=tmp_path)  # E7(1,1), 506 members
     (path,) = tmp_path.glob("*.json")
     payload = json.loads(path.read_text())
     if tamper == "class-size":
         payload["report"]["class_size"] = 7
-    else:  # as written before the stored cap was dropped
+    elif tamper == "schema-2":  # as written before the stored cap was dropped
         payload["schema_version"], payload["cap"] = 2, DEFAULT_CAP
+    else:  # as written before disconnected quivers changed keys
+        payload["schema_version"] = 3
     path.write_text(json.dumps(payload))
     uncached = classify_cell(4, 4, cap=100)
     with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
@@ -223,6 +225,22 @@ def test_entry_without_start_key_is_corrupt(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheCorrupt):
         load_report(tmp_path, key, DEFAULT_CAP)
+
+
+@pytest.mark.parametrize("field", ["report", "member_keys", "max_weight_seen"])
+def test_missing_field_named_in_warning(tmp_path, caplog, field):
+    start = initial_quiver(GrassmannianSpec(3, 3))
+    key = canonical_key(start)
+    [report] = explore_classes([start], cache_dir=tmp_path)
+    path = cache_path(tmp_path, key)
+    payload = json.loads(path.read_text())
+    holder = payload["report"] if field == "max_weight_seen" else payload
+    holder["misspelt_" + field] = holder.pop(field)
+    path.write_text(json.dumps(payload))
+    with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
+        assert explore_classes([start], cache_dir=tmp_path) == [report]
+    (record,) = caplog.records
+    assert f"missing field '{field}'" in record.getMessage()
 
 
 def test_malformed_member_keys_recompute(tmp_path, caplog):

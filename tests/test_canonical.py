@@ -203,7 +203,7 @@ def test_zero_matrix_keys_carry_n():
     ids=["zero-1x1", "A2", "A2-reversed"],
 )
 def test_smallest_forms_pinned(rows, key, perm):
-    # n = 1 takes the zero-matrix shortcut; n = 2 is the smallest leaf
+    # n = 1 is a one-vertex component; n = 2 is the smallest leaf
     got_key, got_perm = canonical_form(from_matrix(rows))
     assert got_key.data == key
     assert got_perm == perm
@@ -341,12 +341,36 @@ def unpruned_flat(rows, n):
     return best_flat, tuple(best_perm)
 
 
+def as_rows(flat, n):
+    return tuple(flat[i * n : (i + 1) * n] for i in range(n))
+
+
 def assert_same_as_unpruned(m):
+    """canonical_form(m) is the unpruned search's form of m when m is
+    connected, and else of each component, block by block."""
     key, perm = canonical_form(m)
-    flat, want_perm = unpruned_flat(m.rows, m.n)
-    n = m.n
-    assert unpack_key(key.data) == tuple(flat[i * n : (i + 1) * n] for i in range(n))
-    assert perm == want_perm
+    components = m.components()
+    if len(components) == 1:
+        flat, want_perm = unpruned_flat(m.rows, m.n)
+        assert unpack_key(key.data) == as_rows(flat, m.n)
+        assert perm == want_perm
+        return
+    rows = unpack_key(key.data)
+    assert rows == m.permuted(perm).rows  # zero between blocks
+    blocks = []
+    for comp in components:
+        size = len(comp)
+        sub = [[m.rows[i][j] for j in comp] for i in comp]
+        flat, want_perm = unpruned_flat(sub, size)
+        # the component fills the diagonal block from its first new label
+        offset = min(perm[v] for v in comp)
+        assert tuple(perm[v] - offset for v in comp) == want_perm
+        block = tuple(r[offset : offset + size] for r in rows[offset : offset + size])
+        assert block == as_rows(flat, size)
+        blocks.append((offset, _pack(block), comp[0]))
+    # blocks run in the order of their key bytes, equal ones in vertex order
+    order = [b[1:] for b in sorted(blocks)]
+    assert order == sorted(order)
 
 
 def test_same_output_as_unpruned_search_random():
@@ -380,8 +404,8 @@ def test_same_output_as_unpruned_search_symmetric(m):
 
 symmetric_quivers = st.one_of(
     st.builds(star, st.integers(1, 30), st.sampled_from([1, -1, 2])),
-    st.builds(copies, st.just(CYCLE3), st.integers(1, 10)),
-    st.builds(copies, st.just(A2), st.integers(1, 12)),
+    st.builds(copies, st.just(CYCLE3), st.integers(1, 15)),
+    st.builds(copies, st.just(A2), st.integers(1, 30)),
     st.builds(cycle, st.integers(3, 30)),
     st.builds(complete_bipartite, st.integers(1, 6), st.sampled_from([1, 2])),
 )
@@ -442,7 +466,9 @@ def test_symmetric_isomorphism_agrees_with_brute_force(pair, other, data):
 
 
 @pytest.mark.parametrize(
-    "m", [star(20), copies(CYCLE3, 10)], ids=["K1,20", "10xC3"]
+    "m",
+    [star(20), copies(CYCLE3, 10), copies(CYCLE3, 15), copies(A2, 30)],
+    ids=["K1,20", "10xC3", "15xC3", "30xA2"],
 )
 def test_pruned_search_stays_polynomial(m):
     rng = random.Random(11)
@@ -451,8 +477,11 @@ def test_pruned_search_stays_polynomial(m):
             canonical_form(relabel(rng, m))
 
 
-# sha256 of the canonical forms of pinned_corpus(), as first computed
-PINNED_DIGEST = "b6a5e49f048375fedad0ff26ac6ac579fcc969a51d2995b9a56b38b713df1e3d"
+# sha256 of the canonical forms of pinned_corpus(), as computed when
+# disconnected quivers were first canonicalised component by component
+# (cache schema 4); the keys of connected ones are pinned since before that
+PINNED_DIGEST = "992c6d66dd8a9b39b6800729a6c6235b5847995d4e68270ddcd56f9611c9208b"
+CONNECTED_DIGEST = "8798a27dfdeff7d12bc695cb0be562798e8a7806f10323d01626e9ebce15b8d9"
 
 
 def pinned_corpus():
@@ -470,11 +499,22 @@ def pinned_corpus():
         yield relabel(rng, symmetric[i % len(symmetric)])
 
 
+def forms_digest(quivers):
+    h = hashlib.sha256()
+    for m in quivers:
+        key, perm = canonical_form(m)
+        h.update(repr((key.data, perm)).encode())
+    return h.hexdigest()
+
+
 def test_canonical_forms_digest_pinned():
     # keys name cache files and fingerprint classes: a change to refinement
     # or backtracking must leave every key and permutation as it is
-    h = hashlib.sha256()
-    for m in pinned_corpus():
-        key, perm = canonical_form(m)
-        h.update(repr((key.data, perm)).encode())
-    assert h.hexdigest() == PINNED_DIGEST
+    assert forms_digest(pinned_corpus()) == PINNED_DIGEST
+
+
+def test_connected_canonical_forms_digest_pinned():
+    # connected quivers kept their keys and permutations through schema 4
+    connected = [m for m in pinned_corpus() if m.is_connected()]
+    assert len(connected) == 363
+    assert forms_digest(connected) == CONNECTED_DIGEST

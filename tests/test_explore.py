@@ -1,4 +1,5 @@
 import importlib
+import math
 import random
 from collections import deque
 from contextlib import contextmanager
@@ -34,6 +35,7 @@ from quiver_atlas.grassmannian import (
 )
 from quiver_atlas.matrix import ExchangeMatrix, from_matrix
 
+from test_canonical import A2, CYCLE3, copies, relabel
 from test_matrix import A3_PATH, MARKOV, random_quiver
 
 
@@ -221,6 +223,27 @@ def test_disconnected_finite_type_unnamed(rows):
     assert rep.classification is Classification.FINITE_TYPE
     assert rep.type_name is None
     assert _tree_shape_name(start) is None
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_disjoint_oriented_triangles_class_size(k):
+    # an oriented 3-cycle lies in the 4-member class of A3, and each
+    # component mutates on its own, so the class of k disjoint copies is the
+    # multisets of k of those 4 quivers: C(k + 3, 3) of them
+    start = relabel(random.Random(k), copies(CYCLE3, k))
+    rep = explore(start)
+    assert rep.classification is Classification.FINITE_TYPE
+    assert rep.class_size == math.comb(k + 3, 3)
+
+
+def test_disjoint_arrows_class_of_one():
+    # reversing an arrow gives an isomorphic quiver: 30 x A2 is its class
+    start = relabel(random.Random(30), copies(A2, 30))
+    with counting_canonical_forms() as calls:
+        rep = explore(start)
+    assert rep.classification is Classification.FINITE_TYPE
+    assert rep.class_size == 1
+    assert calls() <= 1 + start.n
 
 
 def test_name_finite_mutation_type_by_anchor():
@@ -501,17 +524,18 @@ def _library_mutate(rows, k):
 
 @contextmanager
 def counting_canonical_forms():
-    """Count explore's canonical_form calls; yields a reader of the count."""
+    """Count explore's canonical forms, each a call of the private entry
+    point that takes the components; yields a reader of the count."""
     explore_module = importlib.import_module("quiver_atlas.explore")
-    form_of = explore_module.canonical_form
+    form_of = explore_module._canonical_form
     calls = 0
 
-    def counted(m):
+    def counted(m, components):
         nonlocal calls
         calls += 1
-        return form_of(m)
+        return form_of(m, components)
 
-    with mock.patch.object(explore_module, "canonical_form", counted):
+    with mock.patch.object(explore_module, "_canonical_form", counted):
         yield lambda: calls
 
 
@@ -616,7 +640,8 @@ def test_each_exchange_graph_edge_canonicalised_about_once(p, q):
     with counting_canonical_forms() as calls:
         report = explore(start)
     assert report.class_size is not None
-    assert calls() <= 1 + report.class_size * start.n / 2
+    # every member's key comes from a counted call
+    assert report.class_size <= calls() <= 1 + report.class_size * start.n / 2
 
 
 def _mixed_quiver(rng):
@@ -688,6 +713,10 @@ def test_heavy_component_matches_dense_reference():
     assert kinds == {(False, False), (False, True), (True, True)}
 
 
+def _large(m):
+    return _large_component_vertices(m.n, m.components())
+
+
 def test_probe_matches_dense_reference_on_misses():
     # a miss leaves no trace in the report, so compare the probe's witness
     # itself, on starts with no heavy component; an A13 path has only two
@@ -701,7 +730,7 @@ def test_probe_matches_dense_reference_on_misses():
     for start in starts:
         if _dense_heavy(start.rows):
             continue
-        got = _witness_probe(start, _large_component_vertices(start))
+        got = _witness_probe(start, _large(start))
         assert got == _dense_probe(start.rows)
 
 
@@ -716,7 +745,7 @@ def test_probe_skips_repeated_subquivers():
         with mock.patch.object(
             explore_module, "_beam_search", wraps=explore_module._beam_search
         ) as beam_search:
-            assert _witness_probe(start, _large_component_vertices(start)) is None
+            assert _witness_probe(start, _large(start)) is None
         counts.append(beam_search.call_count)
     assert counts == [2, 2]
 

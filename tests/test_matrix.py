@@ -335,3 +335,37 @@ class TestQueries:
         assert m.components() == [[0, 1], [2, 3]]
         assert not m.is_connected()
         assert from_matrix(A3_PATH).is_connected()
+
+    def test_components_match_dense_reference(self):
+        # sparse random quivers, from one component to all singletons
+        rng = random.Random(18)
+        for _ in range(300):
+            n = rng.randint(1, 30)
+            density = rng.choice([0.0, 0.02, 0.05, 0.1, 0.3])
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < density:
+                        w = rng.choice([-2, -1, 1, 2])
+                        rows[i][j], rows[j][i] = w, -w
+            m = from_matrix(rows)
+            assert m.components() == dense_components(m.rows)
+
+
+def dense_components(rows):
+    """Components by merging vertex labels across every nonzero entry until
+    none changes, each sorted, in the order of their smallest vertices."""
+    n = len(rows)
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if rows[i][j] and label[i] != label[j]:
+                    label[i] = label[j] = min(label[i], label[j])
+                    changed = True
+    groups = {}
+    for v in range(n):
+        groups.setdefault(label[v], []).append(v)
+    return sorted(groups.values())

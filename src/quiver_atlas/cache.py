@@ -116,8 +116,6 @@ def load_report(
             report.explored < cap
             and report.classification is not Classification.INCONCLUSIVE
         )
-    except CacheCorrupt:
-        raise
     except KeyError as e:
         raise CacheCorrupt(f"corrupt cache file {path}: missing field {e}") from e
     except (OSError, ValueError, TypeError, AttributeError) as e:

@@ -25,7 +25,7 @@ from .correspondence import classify_cell
 from .explore import DEFAULT_CAP, Classification, report_to_dict
 from .grassmannian import GrassmannianSpec, initial_quiver
 from .matrix import ExchangeMatrix
-from .render import render_rows, row_to_dict
+from .render import render_rows
 from .verify import compute_grid, run_verification
 
 EXIT_OK = 0
@@ -95,7 +95,7 @@ def classify(p, q, cap, fmt, cache_dir, no_cache):
     """Classify one cell on both sides and report whether they agree."""
     cache = _resolve_cache(cache_dir, no_cache)
     row = classify_cell(p, q, cap=cap, cache_dir=cache)
-    click.echo(render_rows([row_to_dict(row)], fmt), nl=False)
+    click.echo(render_rows([row], fmt), nl=False)
     sys.exit(_exit_code([row]))
 
 
@@ -111,13 +111,14 @@ def table(pmax, qmax, cap, workers, fmt, cache_dir, no_cache):
     cache = _resolve_cache(cache_dir, no_cache)
     rows = compute_grid(pmax, qmax, cap=cap, workers=workers, cache_dir=cache)
     ordered = [rows[key] for key in sorted(rows)]
-    click.echo(render_rows([row_to_dict(r) for r in ordered], fmt), nl=False)
-    mismatches = sum(1 for r in ordered if not r.match)
-    inconclusive = sum(
-        1
+    click.echo(render_rows(ordered, fmt), nl=False)
+    decided = [
+        r
         for r in ordered
-        if r.cluster.classification is Classification.INCONCLUSIVE
-    )
+        if r.cluster.classification is not Classification.INCONCLUSIVE
+    ]
+    mismatches = sum(1 for r in decided if not r.match)
+    inconclusive = len(ordered) - len(decided)
     click.echo(f"mismatches: {mismatches}  inconclusive: {inconclusive}", err=True)
     sys.exit(_exit_code(ordered))
 

@@ -46,35 +46,21 @@ _TILING_TAG = {
 }
 
 
-def row_to_dict(row: CorrespondenceRow) -> dict:
-    cluster = report_to_dict(row.cluster)
-    return {
-        "p": row.p,
-        "q": row.q,
-        "r": row.r,
-        "cluster": cluster,
-        "tiling": tiling_report_to_dict(row.tiling),
-        "match": row.match,
-    }
-
-
-def cell_text(row_dict: dict) -> str:
+def cell_text(row: CorrespondenceRow) -> str:
     """Compact cell label: category tag per side, plus the type name."""
-    cluster = row_dict["cluster"]
-    tag = _CLUSTER_TAG[Classification(cluster["classification"])]
-    if cluster["type_name"]:
-        tag = f"{tag}:{cluster['type_name']}"
-    ttag = _TILING_TAG[GeometryClass(row_dict["tiling"]["geometry"])]
-    text = f"{tag}|{ttag}"
-    if not row_dict["match"]:
+    tag = _CLUSTER_TAG[row.cluster.classification]
+    if row.cluster.type_name:
+        tag = f"{tag}:{row.cluster.type_name}"
+    text = f"{tag}|{_TILING_TAG[row.tiling.geometry]}"
+    if not row.match:
         text += " ✗"
     return text
 
 
-def render_markdown_grid(row_dicts: list[dict]) -> str:
-    ps = sorted({d["p"] for d in row_dicts})
-    qs = sorted({d["q"] for d in row_dicts})
-    by_cell = {(d["p"], d["q"]): d for d in row_dicts}
+def render_markdown_grid(rows: list[CorrespondenceRow]) -> str:
+    by_cell = {(row.p, row.q): row for row in rows}
+    ps = sorted({p for p, _ in by_cell})
+    qs = sorted({q for _, q in by_cell})
     lines = ["| p\\q | " + " | ".join(str(q) for q in qs) + " |"]
     lines.append("|" + "---|" * (len(qs) + 1))
     for p in ps:
@@ -86,44 +72,54 @@ def render_markdown_grid(row_dicts: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_record(d: dict) -> list:
-    cluster = d["cluster"]
-    tiling = d["tiling"]
+def _csv_record(row: CorrespondenceRow) -> list:
+    cluster, tiling = row.cluster, row.tiling
     return [
-        d["p"],
-        d["q"],
-        d["r"],
-        cluster["classification"],
-        cluster["type_name"] or "",
-        cluster["class_size"] if cluster["class_size"] is not None else "",
-        cluster["max_weight_seen"],
-        tiling["geometry"],
-        tiling["tiling_name"],
-        tiling["coxeter_name"],
-        tiling["group_order"] if tiling["group_order"] is not None else "",
-        "true" if d["match"] else "false",
+        row.p,
+        row.q,
+        row.r,
+        cluster.classification.value,
+        cluster.type_name or "",
+        cluster.class_size if cluster.class_size is not None else "",
+        cluster.max_weight_seen,
+        tiling.geometry.value,
+        tiling.tiling_name,
+        tiling.coxeter_name,
+        tiling.group_order if tiling.group_order is not None else "",
+        "true" if row.match else "false",
     ]
 
 
-def render_csv(row_dicts: list[dict]) -> str:
+def render_csv(rows: list[CorrespondenceRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for d in row_dicts:
-        writer.writerow(_csv_record(d))
+    for row in rows:
+        writer.writerow(_csv_record(row))
     return buf.getvalue()
 
 
-def render_json(row_dicts: list[dict]) -> str:
-    doc = {"schema_version": JSON_SCHEMA_VERSION, "rows": row_dicts}
+def render_json(rows: list[CorrespondenceRow]) -> str:
+    dicts = [
+        {
+            "p": row.p,
+            "q": row.q,
+            "r": row.r,
+            "cluster": report_to_dict(row.cluster),
+            "tiling": tiling_report_to_dict(row.tiling),
+            "match": row.match,
+        }
+        for row in rows
+    ]
+    doc = {"schema_version": JSON_SCHEMA_VERSION, "rows": dicts}
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
-def render_rows(row_dicts: list[dict], fmt: str) -> str:
+def render_rows(rows: list[CorrespondenceRow], fmt: str) -> str:
     if fmt == "markdown":
-        return render_markdown_grid(row_dicts)
+        return render_markdown_grid(rows)
     if fmt == "csv":
-        return render_csv(row_dicts)
+        return render_csv(rows)
     if fmt == "json":
-        return render_json(row_dicts)
+        return render_json(rows)
     raise ValueError(f"unknown format {fmt!r}")

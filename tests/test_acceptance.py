@@ -76,11 +76,11 @@ def test_criterion_1_table1_reproduction(grid7):
             if rep.classification is Classification.FINITE_TYPE:
                 if rep.type_name != want:
                     failures.append(f"({p},{q}) name {rep.type_name}")
-            # yellow-cell names via the anchored registry
+            # yellow-cell names via the grid anchors
             if rep.classification is Classification.FINITE_MUTATION_TYPE:
                 named = grid7[(p, q)].cluster.type_name
                 if named != want:
-                    failures.append(f"({p},{q}) registry name {named}")
+                    failures.append(f"({p},{q}) grid-anchor name {named}")
     total = time.time() - t0
     if total >= TABLE1_BUDGET_S:
         failures.append(f"runtime {total:.0f}s")
@@ -129,7 +129,7 @@ def test_criterion_2_table2_reproduction():
 
 
 def test_criterion_3_main_claim(grid12):
-    name, ok, detail = check_main_claim(grid12, 12, 12)
+    name, ok, detail = check_main_claim(grid12)
     report("3: main claim on 2<=p,q<=12, no mismatch, no inconclusive", ok, detail)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from quiver_atlas.cli import main
 from quiver_atlas.correspondence import CorrespondenceRow
 from quiver_atlas.explore import Classification, MutationClassReport, replay
 from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
+from quiver_atlas.render import render_rows
 from quiver_atlas.tiling import SchlafliSymbol, tiling_report
 
 
@@ -153,6 +155,34 @@ def test_table_json_schema(runner, tmp_path):
     assert len(doc["rows"]) == 1
     assert doc["rows"][0]["cluster"]["type_name"] == "A1"
     assert doc["rows"][0]["match"] is True
+
+
+def test_table_summary_counts_inconclusive_cell_once(runner):
+    # at cap 1 the only undecided cell, D4 at (3,3), is inconclusive and
+    # not a mismatch
+    result = runner.invoke(
+        main,
+        ["table", "--pmax", "3", "--qmax", "3", "--cap", "1", "--no-cache",
+         "--workers", "1"],
+    )
+    assert result.exit_code == 3, result.output
+    assert "| 3 | fin:A2|sph | ???|sph ✗ |" in result.stdout
+    assert result.stderr == "mismatches: 0  inconclusive: 1\n"
+
+
+# sha256 of render_rows on the 2..7 grid, rows in (p, q) order
+RENDERED_GRID7_SHA256 = {
+    "markdown": "a32a8415066fa34712238357e01577d3d7211822c2110d7fd8a26c97c5bcc623",
+    "csv": "bc362f2c10a15d6362ec479ad581cff80245559a6ba052ada81a51ecf580e098",
+    "json": "2b954b3a51586125f1f3f75b6a510fd64309e01336fd783a6b816913770e4f3c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RENDERED_GRID7_SHA256))
+def test_rendered_grid7_pinned(grid7, fmt):
+    text = render_rows([grid7[cell] for cell in sorted(grid7)], fmt)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == RENDERED_GRID7_SHA256[fmt]
 
 
 def test_explore_cache_round_trip(runner, tmp_path):

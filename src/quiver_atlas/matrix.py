@@ -71,10 +71,11 @@ class ExchangeMatrix:
 
         Entries are read with ``operator.index``: numpy integers pass,
         floats and strings raise ParseError."""
+        rows = tuple(map(tuple, entries))  # each iterator is read once
         try:
-            rows = tuple(tuple(map(index, row)) for row in entries)
+            rows = tuple(tuple(map(index, row)) for row in rows)
         except TypeError:  # name the first entry that is not an integer
-            for i, row in enumerate(entries):
+            for i, row in enumerate(rows):
                 for j, x in enumerate(row):
                     try:
                         index(x)
@@ -171,11 +172,10 @@ class ExchangeMatrix:
 
         Raises InvalidPermutation unless ``perm`` lists 0..n-1 in some order.
         """
+        perm = list(perm)  # an iterator is read once
         n = self.n
         if sorted(perm) != list(range(n)):
-            raise InvalidPermutation(
-                f"{list(perm)} is not a permutation of 0..{n - 1}"
-            )
+            raise InvalidPermutation(f"{perm} is not a permutation of 0..{n - 1}")
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old

@@ -131,12 +131,15 @@ def wide_quiver(rng, n, magnitudes):
 
 
 def test_key_decodes_to_canonical_matrix_with_wide_entries():
-    # entries around the escape boundaries and far beyond a byte
+    # entries around the escape boundaries and far beyond a byte; a
+    # relabelling keeps the key
     rng = random.Random(6)
     for _ in range(200):
         m = wide_quiver(rng, rng.randint(2, 7), [0, 1, 2] + WIDE)
         key, perm = canonical_form(m)
         assert unpack_key(key.data) == m.permuted(perm).rows
+        relabel = rng.sample(range(m.n), m.n)
+        assert canonical_key(m.permuted(relabel)).data == key.data
 
 
 def test_determinism():

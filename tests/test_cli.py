@@ -253,9 +253,24 @@ def test_explore_red_cell_has_witness(runner):
     assert report["infinite_witness"]
 
 
-def test_selftest(runner):
-    result = runner.invoke(main, ["selftest", "--seed", "1", "--cases", "40"])
+def test_workers_default_is_cpus_this_process_may_use(runner, monkeypatch):
+    # two CPUs in the machine, one in this process's affinity mask
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = []
+
+    def fake_run_verification(cap, workers, cache_dir):
+        seen.append(workers)
+        return [("check", True, "ok")]
+
+    monkeypatch.setattr(cli_mod, "run_verification", fake_run_verification)
+    result = runner.invoke(main, ["verify", "--no-cache"])
     assert result.exit_code == 0, result.output
+    # a platform without affinity masks falls back to the machine's count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    result = runner.invoke(main, ["verify", "--no-cache"])
+    assert result.exit_code == 0, result.output
+    assert seen == [1, 2]
 
 
 def test_cache_env_var(runner, tmp_path, monkeypatch):

@@ -128,6 +128,12 @@ def test_permuted_rejects_non_permutation(perm):
     assert isinstance(err.value, ValueError)
 
 
+def test_permuted_reads_an_iterator_once():
+    m = from_matrix(A3_PATH)
+    assert m.permuted(reversed(range(3))) == m.permuted([2, 1, 0])
+    assert m.permuted([2, 1, 0]).rows == ((0, -1, 0), (1, 0, -1), (0, 1, 0))
+
+
 def dense_mutation(rows, k):
     """b'_ij entry by entry, from the Fomin-Zelevinsky formula."""
     n = len(rows)
@@ -242,6 +248,11 @@ class TestSparseMutation:
         ),
         # not rounded to the oriented A2
         ([[0, 1.7], [-1.2, 0]], ParseError, "non-integer entry at row 0, column 1"),
+        (
+            (row for row in [[0, 1.7], [-1.2, 0]]),
+            ParseError,
+            "non-integer entry at row 0, column 1",
+        ),
         # not parsed into a weight-3 arrow
         ([["0", "3"], ["-3", "0"]], ParseError, "non-integer entry at row 0, column 0"),
     ],
@@ -253,6 +264,7 @@ class TestSparseMutation:
         "range",
         "range-int64-min",
         "float",
+        "float-generator",
         "string",
     ],
 )

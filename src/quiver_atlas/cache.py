@@ -7,13 +7,13 @@ report, and the sorted member keys when the class was fully enumerated.
 Loading rebuilds the report from the stored one and its member keys with
 :func:`quiver_atlas.explore.rebuild_report`, which derives classification,
 size, fingerprint and name as explore does; an entry that does not rebuild
-to itself is corrupt.  Corrupt files are ignored with a warning, removed
-and recomputed.  The report alone says which caps it answers (see
-:func:`load_report`), so an inconclusive report never replaces an entry
-that explored more classes.  Only files of the current schema version are
-read: keys changed format with schema 2, schema 3 dropped the stored cap,
-and schema 4 changed the keys of disconnected quivers (canonicalised
-component by component).
+to itself, or whose member keys leave out its start key, is corrupt.
+Corrupt files are ignored with a warning, removed and recomputed.  The
+report alone says which caps it answers (see :func:`load_report`), so an
+inconclusive report never replaces an entry that explored more classes.
+Only files of the current schema version are read: keys changed format
+with schema 2, schema 3 dropped the stored cap, and schema 4 changed the
+keys of disconnected quivers (canonicalised component by component).
 
 :func:`explore_classes` is the one way to a report through the cache: one
 call is one run, which explores each distinct class of its starts at most
@@ -99,8 +99,9 @@ def load_report(
     A report answers cap c exactly where explore(start, c) gives it: a
     decided report when it explored at most c classes, an inconclusive one
     when it explored exactly c (explore stops as the count reaches the cap).
-    Raises CacheCorrupt on unreadable files and on entries whose report
-    does not rebuild to itself (:func:`rebuild_report`).
+    Raises CacheCorrupt on unreadable files, on entries whose report does
+    not rebuild to itself (:func:`rebuild_report`), and on member keys that
+    leave out the start key (another class's report).
     """
     path = cache_path(cache_dir, key)
     if not path.exists():
@@ -112,6 +113,8 @@ def load_report(
         if payload["start_key"] != key.hex():
             raise CacheCorrupt(f"start key mismatch in {path}")
         report = rebuild_report(key.n, payload["report"], payload["member_keys"])
+        if report.member_keys is not None and key.hex() not in report.member_keys:
+            raise CacheCorrupt(f"start key not among the member keys in {path}")
         fits = report.explored == cap or (
             report.explored < cap
             and report.classification is not Classification.INCONCLUSIVE

@@ -161,15 +161,12 @@ def explore_cmd(p, q, cap, cache_dir, no_cache):
 
 
 @main.command()
-@_cap_opt
 @_workers_opt
 @_cache_opts
-def verify(cap, workers, cache_dir, no_cache):
+def verify(workers, cache_dir, no_cache):
     """Run the full reproduction suite (tables, duality, trichotomy)."""
     cache = _resolve_cache(cache_dir, no_cache)
-    results = run_verification(
-        cap=cap, workers=workers, cache_dir=cache
-    )
+    results = run_verification(workers=workers, cache_dir=cache)
     failed = 0
     for name, ok, detail in results:
         status = "PASS" if ok else "FAIL"

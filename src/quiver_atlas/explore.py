@@ -15,13 +15,13 @@ each ball of up to PROBE_BALL vertices (:func:`_witness_probe`).  Both
 searches rest on invariants of Fomin-Zelevinsky mutation at k:
 
 * connected components never change (mu_k keeps k joined to each of its
-  neighbours), so the start's components are computed once per call: every
-  member is canonicalised component by component from them, "lies in a
-  component of >= 3 vertices" is read off them, and a quiver is heavy iff
-  a row of such a vertex has an entry >= 3 (skew-symmetry puts every
-  |b_ij| >= 3 in row i or row j, and i and j share a component);
+  neighbours), so the start's components are every member's: each member
+  is canonicalised component by component from them, "lies in a component
+  of >= 3 vertices" is read off them, and a quiver is heavy iff a row of
+  such a vertex has an entry >= 3 (skew-symmetry puts every |b_ij| >= 3 in
+  row i or row j, and i and j share a component);
 * only the rows of k's neighbours change (row k merely changes sign), so
-  the closure's heavy test and the largest weight seen read those rows;
+  the largest weight seen, and the closure's heavy test, read those rows;
 * mutation commutes with restriction: for k in a vertex set S, the S-block
   of the mutated quiver is the full subquiver on S mutated at k, so a
   probe witness found on a subquiver is a witness for the whole quiver.
@@ -199,25 +199,24 @@ def _beam_search(start: ExchangeMatrix) -> tuple[int, ...] | None:
     return None
 
 
-def _witness_probe(
-    start: ExchangeMatrix, large: list[bool]
-) -> tuple[int, ...] | None:
+def _witness_probe(start: ExchangeMatrix) -> tuple[int, ...] | None:
     """Deterministic guided search for a weight->=3 witness.
 
-    ``start`` has no heavy component and ``large`` flags the vertices of its
-    components of >= 3 vertices.  Runs :func:`_beam_search` on the full
-    subquiver of the ball (:func:`_ball`) of each flagged vertex, in index
-    order, skipping balls already probed and balls whose subquiver rows equal
-    those of one already probed, and maps the first witness back to
-    ``start``'s labels (it mutates the ball's block of ``start`` as it
-    mutated the subquiver).  Returns None when no ball gives a witness,
-    which is expected for mutation-finite classes.
+    ``start`` has no heavy component.  Runs :func:`_beam_search` on the full
+    subquiver of the ball (:func:`_ball`) of each vertex, in index order,
+    skipping balls of fewer than 3 vertices (a ball has at least 3 exactly
+    when its vertex lies in a component of at least 3), balls already
+    probed and balls whose subquiver rows equal those of one already
+    probed, and maps the first witness back to ``start``'s labels (it
+    mutates the ball's block of ``start`` as it mutated the subquiver).
+    Returns None when no ball gives a witness, which is expected for
+    mutation-finite classes.
     """
     rows = start.rows
     balls, subquivers = set(), set()
-    for v in compress(range(start.n), large):
+    for v in range(start.n):
         ball = _ball(start, v)
-        if frozenset(ball) in balls:
+        if len(ball) < 3 or frozenset(ball) in balls:
             continue
         balls.add(frozenset(ball))
         sub = tuple(tuple(rows[i][j] for j in ball) for i in ball)
@@ -232,15 +231,14 @@ def _witness_probe(
 
 def _checked_replay(start: ExchangeMatrix, witness) -> int:
     """Replay ``witness`` from ``start`` and check its end with the full
-    scan of :func:`_has_heavy_component`; return the largest weight met
-    after ``start``."""
-    m = start
-    max_w = 0
+    scan of :func:`_has_heavy_component`.  Returns the largest entry in
+    the rows of each step's neighbours, the only rows a mutation changes
+    (row k just changes sign), as the closure reads them: with
+    ``start.max_weight()`` it is the largest weight met on the way."""
+    m, max_w = start, 0
     for k in witness:
-        m = m.mutate(k)
-        w = m.max_weight()
-        if w > max_w:
-            max_w = w
+        prev, m = m, m.mutate(k)
+        max_w = max(max_w, max(map(max, compress(m.rows, prev.rows[k])), default=0))
     if not _has_heavy_component(m):
         raise WitnessCheckFailed(
             f"witness {list(witness)} does not reach a heavy component"
@@ -354,16 +352,16 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     """
     if cap < 1:
         raise CapZero("exploration cap must be >= 1")
-    n = start.n
     max_w = start.max_weight()
-    components = start.components()  # every member's, too
-    large = _large_component_vertices(n, components)
-    if max(map(max, compress(start.rows, large)), default=0) >= 3:
+    if _has_heavy_component(start):
         return _infinite(max_w, (), 1)
-    witness = _witness_probe(start, large)
+    witness = _witness_probe(start)
     if witness is not None:
         max_w = max(max_w, _checked_replay(start, witness))
         return _infinite(max_w, witness, 1)
+    n = start.n
+    components = start.components()  # every member's, too
+    large = _large_component_vertices(n, components)
     key, perm = _canonical_form(start, components)
     key = key.hex()
     seen = {key: 0}  # key -> bits of canonical vertices leading to seen keys

@@ -49,34 +49,30 @@ class GrassmannianSpec:
         return GrassmannianSpec(self.q, self.p)
 
 
+# (di, dj, b): entry b of v(i, j)'s row at v(i+di, j+dj); the arrows out
+# (right, down, up-left) are +1 and their mirrors, the arrows in, are -1
+_GRID_ARROWS = ((0, 1, 1), (1, 0, 1), (-1, -1, 1), (0, -1, -1), (-1, 0, -1), (1, 1, -1))
+
+
 def initial_quiver(spec: GrassmannianSpec) -> ExchangeMatrix:
     """Grid seed quiver of Gr(p, p+q) on (p-1)(q-1) vertices.
 
     Vertices v(i, j) for 1 <= i <= p-1, 1 <= j <= q-1 are numbered row-major.
     Arrows: v(i,j) -> v(i,j+1), v(i,j) -> v(i+1,j), and the back-diagonal
-    v(i+1,j+1) -> v(i,j).  All weights are 1.
+    v(i+1,j+1) -> v(i,j).  All weights are 1.  Each row holds its vertex's
+    arrows and their mirrors (:data:`_GRID_ARROWS`), so the rows are
+    skew-symmetric as built and go to ExchangeMatrix unchecked.
     """
-    rows_n = spec.p - 1
-    cols_n = spec.q - 1
-    n = rows_n * cols_n
-    b = [[0] * n for _ in range(n)]
-
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * cols_n + (j - 1)
-
-    def arrow(a: int, c: int) -> None:
-        b[a][c] += 1
-        b[c][a] -= 1
-
-    for i in range(1, rows_n + 1):
-        for j in range(1, cols_n + 1):
-            if j < cols_n:
-                arrow(idx(i, j), idx(i, j + 1))
-            if i < rows_n:
-                arrow(idx(i, j), idx(i + 1, j))
-            if i < rows_n and j < cols_n:
-                arrow(idx(i + 1, j + 1), idx(i, j))
-    return ExchangeMatrix.from_rows(b)
+    rows_n, cols_n, n = spec.p - 1, spec.q - 1, spec.rank
+    rows = []
+    for i in range(rows_n):
+        for j in range(cols_n):
+            row = [0] * n
+            for di, dj, b in _GRID_ARROWS:
+                if 0 <= i + di < rows_n and 0 <= j + dj < cols_n:
+                    row[(i + di) * cols_n + j + dj] = b
+            rows.append(tuple(row))
+    return ExchangeMatrix(tuple(rows))
 
 
 def expected_classification(spec: GrassmannianSpec) -> Classification:

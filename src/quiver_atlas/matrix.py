@@ -70,8 +70,14 @@ class ExchangeMatrix:
         """Validate a square integer grid and return an ExchangeMatrix.
 
         Entries are read with ``operator.index``: numpy integers pass,
-        floats and strings raise ParseError."""
-        rows = tuple(map(tuple, entries))  # each iterator is read once
+        floats and strings raise ParseError, as does a row that is not
+        iterable."""
+        rows = []  # each iterator is read once
+        try:
+            for row in entries:
+                rows.append(tuple(row))
+        except TypeError:  # entries, or this row of it, is not iterable
+            raise ParseError(f"not a sequence of rows at row {len(rows)}") from None
         try:
             rows = tuple(tuple(map(index, row)) for row in rows)
         except TypeError:  # name the first entry that is not an integer

@@ -277,7 +277,6 @@ def check_spherical_data():
 
 
 def run_verification(
-    cap: int = DEFAULT_CAP,
     workers: int = 1,
     cache_dir=None,
     pmax: int = 12,
@@ -289,7 +288,7 @@ def run_verification(
     """
     if min(pmax, qmax) < 7:
         raise ValueError(f"need pmax, qmax >= 7, got pmax={pmax}, qmax={qmax}")
-    rows = compute_grid(pmax, qmax, cap=cap, workers=workers, cache_dir=cache_dir)
+    rows = compute_grid(pmax, qmax, workers=workers, cache_dir=cache_dir)
     return [
         check_table1(rows),
         check_table2(),

@@ -19,7 +19,13 @@ from quiver_atlas.cache import (
 )
 from quiver_atlas.canonical import canonical_form, canonical_key
 from quiver_atlas.correspondence import classify_cell
-from quiver_atlas.explore import DEFAULT_CAP, Classification, explore, replay
+from quiver_atlas.explore import (
+    DEFAULT_CAP,
+    Classification,
+    explore,
+    replay,
+    report_to_dict,
+)
 from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
 from quiver_atlas.matrix import ExchangeMatrix
 from quiver_atlas.verify import compute_grid
@@ -144,13 +150,21 @@ def test_inconclusive_never_replaces_larger_cap_entry(tmp_path, explored):
     assert again.class_size == 506
 
 
-@pytest.mark.parametrize("tamper", ["class-size", "schema-2", "schema-3"])
+@pytest.mark.parametrize(
+    "tamper", ["class-size", "schema-2", "schema-3", "foreign-class"]
+)
 def test_corrupt_entry_replaced_by_inconclusive_recompute(tmp_path, caplog, tamper):
     classify_cell(4, 4, cache_dir=tmp_path)  # E7(1,1), 506 members
     (path,) = tmp_path.glob("*.json")
     payload = json.loads(path.read_text())
     if tamper == "class-size":
         payload["report"]["class_size"] = 7
+    elif tamper == "foreign-class":
+        # the entry of another class of rank 9, nine isolated vertices: it
+        # rebuilds to itself, but its one member key is not the start's
+        other = explore(ExchangeMatrix.from_rows([[0] * 9] * 9))
+        payload["report"] = report_to_dict(other)
+        payload["member_keys"] = list(other.member_keys)
     elif tamper == "schema-2":  # as written before the stored cap was dropped
         payload["schema_version"], payload["cap"] = 2, DEFAULT_CAP
     else:  # as written before disconnected quivers changed keys

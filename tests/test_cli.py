@@ -259,7 +259,7 @@ def test_workers_default_is_cpus_this_process_may_use(runner, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     seen = []
 
-    def fake_run_verification(cap, workers, cache_dir):
+    def fake_run_verification(workers, cache_dir):
         seen.append(workers)
         return [("check", True, "ok")]
 

@@ -23,7 +23,6 @@ from quiver_atlas.explore import (
     WitnessCheckFailed,
     _dynkin_anchors,
     _has_heavy_component,
-    _large_component_vertices,
     _witness_probe,
     report_to_dict,
 )
@@ -713,10 +712,6 @@ def test_heavy_component_matches_dense_reference():
     assert kinds == {(False, False), (False, True), (True, True)}
 
 
-def _large(m):
-    return _large_component_vertices(m.n, m.components())
-
-
 def test_probe_matches_dense_reference_on_misses():
     # a miss leaves no trace in the report, so compare the probe's witness
     # itself, on starts with no heavy component; an A13 path has only two
@@ -730,7 +725,7 @@ def test_probe_matches_dense_reference_on_misses():
     for start in starts:
         if _dense_heavy(start.rows):
             continue
-        got = _witness_probe(start, _large(start))
+        got = _witness_probe(start)
         assert got == _dense_probe(start.rows)
 
 
@@ -745,7 +740,7 @@ def test_probe_skips_repeated_subquivers():
         with mock.patch.object(
             explore_module, "_beam_search", wraps=explore_module._beam_search
         ) as beam_search:
-            assert _witness_probe(start, _large(start)) is None
+            assert _witness_probe(start) is None
         counts.append(beam_search.call_count)
     assert counts == [2, 2]
 
@@ -766,9 +761,7 @@ def _hidden_triangle(a=2, b=2, c=2):
 def _probe_misses(monkeypatch):
     # the package's ``explore`` function shadows the submodule's name
     explore_module = importlib.import_module("quiver_atlas.explore")
-    monkeypatch.setattr(
-        explore_module, "_witness_probe", lambda start, large: None
-    )
+    monkeypatch.setattr(explore_module, "_witness_probe", lambda start: None)
 
 
 @pytest.mark.parametrize("weights", [(2, 2, 2), (1, 2, 1)])

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from quiver_atlas.explore import Classification
@@ -8,6 +10,7 @@ from quiver_atlas.grassmannian import (
     expected_type_name,
     initial_quiver,
 )
+from quiver_atlas.matrix import ExchangeMatrix
 
 
 def arrow_count(m):
@@ -62,6 +65,26 @@ class TestInitialQuiver:
         assert arrow_count(m) == expected
         assert m.is_connected()
         assert m.max_weight() <= 1
+        # built unchecked: the validating constructor accepts the same rows
+        assert ExchangeMatrix.from_rows(m.rows) == m
+
+    def test_rank_132_grid_validates(self):
+        # rank >= 128: a canonical key of this start escapes n itself
+        m = initial_quiver(GrassmannianSpec(12, 13))
+        assert m.n == 132
+        assert ExchangeMatrix.from_rows(m.rows) == m
+
+    def test_rows_digest_pinned(self):
+        # sha256 of the serialized rows of every grid quiver with
+        # 2 <= p, q <= 20, one line each, p then q ascending
+        h = hashlib.sha256()
+        for p in range(2, 21):
+            for q in range(2, 21):
+                m = initial_quiver(GrassmannianSpec(p, q))
+                h.update(m.serialize().encode() + b"\n")
+        assert h.hexdigest() == (
+            "523f36d6c85063cf6504427d656260be65f1d51c105b52f5378d6e7694e91bb5"
+        )
 
 
 class TestExpected:

@@ -255,6 +255,11 @@ class TestSparseMutation:
         ),
         # not parsed into a weight-3 arrow
         ([["0", "3"], ["-3", "0"]], ParseError, "non-integer entry at row 0, column 0"),
+        # rows that are not sequences, and inputs that are not sequences of rows
+        ([1, 2], ParseError, "not a sequence of rows at row 0"),
+        ([[0, 1], 5], ParseError, "not a sequence of rows at row 1"),
+        (5, ParseError, "not a sequence of rows at row 0"),
+        (None, ParseError, "not a sequence of rows at row 0"),
     ],
     ids=[
         "ragged",
@@ -266,6 +271,10 @@ class TestSparseMutation:
         "float",
         "float-generator",
         "string",
+        "int-rows",
+        "int-row",
+        "int",
+        "none",
     ],
 )
 def test_from_rows_errors_keep_class_and_message(rows, error, message):

@@ -6,10 +6,16 @@ canonical labeling*, 2011).  The canonical matrix of a quiver is block
 diagonal, one block per component, each block the component's canonical
 matrix; blocks run in the order of their packed key bytes, and equal blocks
 (isomorphic components) in the order of their smallest vertices.  The
-permutation is the components' permutations, each shifted to its block.  A
+permutation is the components' permutations, each shifted to its block, and
+the canonical matrix of a disconnected quiver m is ``m.permuted(perm)``.  A
 connected quiver is its one block; a one-vertex component is the block
 (0,).  So the key is invariant under vertex relabeling, equal keys imply
 isomorphic quivers, and k copies of a component cost k times one.
+
+Relabelling and restriction share one rule: a component's rows, a search
+leaf and the canonical matrix are each the full subquiver on a list of
+vertices (every vertex in some order, for a relabelling), picked by
+:func:`quiver_atlas.matrix._subquiver_rows`.
 
 A connected component's form is computed by weighted-degree partition
 refinement (vertices are colored by the multiset of signed incident weights
@@ -25,11 +31,13 @@ The key packs that matrix: n, then its strict upper triangle row-major (a
 skew-symmetric matrix is zero on the diagonal and determined by it), each
 number as one signed byte.  A number outside -127..127 is written as the
 escape byte 0x80 followed by its value as a little-endian signed 64-bit
-integer; entries stay within int64 and so does n.  The packing reads back
-unambiguously, so equal keys mean equal canonical matrices, and a key of
-rank 10 takes 46 bytes instead of the 240 or so of its JSON rows.  The same
-packer keys :func:`quiver_atlas.explore.explore`'s per-level memo of child
-rows; it is the only code that turns a matrix into bytes.
+integer; entries stay within int64 and so does n.  n is packed apart from
+the triangle, so a rank of 128 or more escapes in the header alone.  The
+packing reads back unambiguously, so equal keys mean equal canonical
+matrices, and a key of rank 10 takes 46 bytes instead of the 240 or so of
+its JSON rows.  The same packer keys
+:func:`quiver_atlas.explore.explore`'s per-level memo of child rows; it is
+the only code that turns a matrix into bytes.
 
 A refinement round only splits cells and keeps their order, since a
 vertex's signature starts with its own color.  So a round that leaves the
@@ -68,7 +76,7 @@ from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 
-from .matrix import ExchangeMatrix
+from .matrix import ExchangeMatrix, _subquiver_rows
 
 _HALF = 1 << 63  # 2**63 + x lies in [1, 2**64) for every entry x
 
@@ -159,9 +167,7 @@ def _canonical_rows(rows, n):
         inv = [0] * n
         for v, c in enumerate(colors):
             inv[c] = v
-        # n >= 2 here: itemgetter returns tuples
-        pick = itemgetter(*inv)
-        leaf = tuple(map(pick, pick(rows)))
+        leaf = _subquiver_rows(rows, inv)
         if best_rows is None or leaf < best_rows:
             best_rows, best_perm, best_inv = leaf, colors, inv
         elif leaf == best_rows:
@@ -229,16 +235,16 @@ def _packed_number(x: int) -> bytes:
 def _pack(rows) -> bytes:
     """Key bytes of a skew-symmetric matrix given by its rows: n, then the
     strict upper triangle row-major (see the module docstring)."""
-    numbers = [len(rows)]
+    numbers = []
     for i, row in enumerate(rows):
         numbers += row[i + 1 :]
     try:
         data = array("b", numbers).tobytes()
     except OverflowError:
-        data = b"\x80"  # some number needs the escape
+        data = b"\x80"  # some entry needs the escape
     if b"\x80" in data:  # -128 packs to the escape byte
         data = b"".join(map(_packed_number, numbers))
-    return data
+    return _packed_number(len(rows)) + data
 
 
 def _component_form(rows, comp):
@@ -248,8 +254,7 @@ def _component_form(rows, comp):
     if size == 1:
         return ((0,),), (0,)
     if size < len(rows):
-        pick = itemgetter(*comp)
-        rows = tuple(pick(rows[v]) for v in comp)
+        rows = _subquiver_rows(rows, comp)
     return _canonical_rows(rows, size)
 
 
@@ -268,19 +273,15 @@ def _canonical_form(
     blocks = []
     for comp in components:
         rows, perm = _component_form(m.rows, comp)
-        blocks.append((_pack(rows), rows, comp, perm))
+        blocks.append((_pack(rows), comp, perm))
     blocks.sort(key=itemgetter(0))  # stable: equal blocks keep vertex order
-    canonical = []
     perm = [0] * n
     offset = 0
-    for _, rows, comp, block_perm in blocks:
-        size = len(comp)
-        left, right = (0,) * offset, (0,) * (n - offset - size)
-        canonical += [left + row + right for row in rows]
+    for _, comp, block_perm in blocks:
         for v, p in zip(comp, block_perm):
             perm[v] = offset + p
-        offset += size
-    return QuiverKey(_pack(canonical), n), tuple(perm)
+        offset += len(comp)
+    return QuiverKey(_pack(m.permuted(perm).rows), n), tuple(perm)
 
 
 def canonical_form(m: ExchangeMatrix) -> tuple[QuiverKey, tuple[int, ...]]:

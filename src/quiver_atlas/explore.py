@@ -82,7 +82,7 @@ from itertools import chain, compress
 from operator import mul
 
 from .canonical import _canonical_form, _pack, canonical_key
-from .matrix import ExchangeMatrix, QuiverError
+from .matrix import ExchangeMatrix, QuiverError, _subquiver_rows
 
 DEFAULT_CAP = 10**6
 
@@ -212,14 +212,13 @@ def _witness_probe(start: ExchangeMatrix) -> tuple[int, ...] | None:
     Returns None when no ball gives a witness, which is expected for
     mutation-finite classes.
     """
-    rows = start.rows
     balls, subquivers = set(), set()
     for v in range(start.n):
         ball = _ball(start, v)
         if len(ball) < 3 or frozenset(ball) in balls:
             continue
         balls.add(frozenset(ball))
-        sub = tuple(tuple(rows[i][j] for j in ball) for i in ball)
+        sub = _subquiver_rows(start.rows, ball)
         if sub in subquivers:
             continue  # _beam_search depends only on the rows: the same miss
         subquivers.add(sub)
@@ -353,7 +352,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
     if cap < 1:
         raise CapZero("exploration cap must be >= 1")
     max_w = start.max_weight()
-    if _has_heavy_component(start):
+    if max_w >= 3 and _has_heavy_component(start):
         return _infinite(max_w, (), 1)
     witness = _witness_probe(start)
     if witness is not None:

@@ -9,13 +9,14 @@ form by the parameter r = (p-2)(q-2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .explore import Classification
 from .matrix import ExchangeMatrix, QuiverError
 
 
 class InvalidSpec(QuiverError):
-    """Raised for (p, q) outside the supported range p, q >= 2."""
+    """Raised for (p, q) outside the supported range, integers p, q >= 2."""
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,14 @@ class GrassmannianSpec:
     q: int
 
     def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise InvalidSpec(f"require p, q >= 2, got ({self.p}, {self.q})")
+        try:  # read as from_rows reads entries: a float is refused
+            ok = index(self.p) >= 2 and index(self.q) >= 2
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidSpec(
+                f"require integers p, q >= 2, got ({self.p!r}, {self.q!r})"
+            )
 
     @property
     def n(self) -> int:

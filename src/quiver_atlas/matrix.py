@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from operator import index, neg
+from operator import index, itemgetter, neg
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -49,6 +49,15 @@ class ArithmeticOverflow(QuiverError, OverflowError):
 
 class InvalidPermutation(QuiverError, ValueError):
     """Raised when a relabelling is not a permutation of 0..n-1."""
+
+
+def _subquiver_rows(rows, vertices):
+    """Rows of the full subquiver on ``vertices``, vertices[i] becoming
+    vertex i.  Every vertex in some order relabels; fewer restrict."""
+    if len(vertices) == 1:  # itemgetter of one index returns a scalar
+        return ((0,),)  # the zero diagonal
+    pick = itemgetter(*vertices)
+    return tuple(map(pick, pick(rows)))
 
 
 @dataclass(frozen=True)
@@ -176,7 +185,8 @@ class ExchangeMatrix:
     def permuted(self, perm) -> "ExchangeMatrix":
         """Relabel vertices: old vertex i becomes perm[i] in the result.
 
-        Raises InvalidPermutation unless ``perm`` lists 0..n-1 in some order.
+        The result is the full subquiver on the inverse permutation.  Raises
+        InvalidPermutation unless ``perm`` lists 0..n-1 in some order.
         """
         perm = list(perm)  # an iterator is read once
         n = self.n
@@ -185,12 +195,7 @@ class ExchangeMatrix:
         inv = [0] * n
         for old, new in enumerate(perm):
             inv[new] = old
-        return ExchangeMatrix(
-            tuple(
-                tuple(self.rows[inv[i]][inv[j]] for j in range(n))
-                for i in range(n)
-            )
-        )
+        return ExchangeMatrix(_subquiver_rows(self.rows, inv))
 
     def components(self) -> list[list[int]]:
         """Connected components of the underlying undirected graph, each

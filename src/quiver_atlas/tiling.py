@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import index
 
 from .matrix import QuiverError
 
 
 class InvalidSymbol(QuiverError):
-    """Raised for Schlafli symbols with p < 2 or q < 2."""
+    """Raised for Schlafli symbols unless p and q are integers >= 2."""
 
 
 class NotSpherical(QuiverError):
@@ -38,8 +39,14 @@ class SchlafliSymbol:
     q: int
 
     def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise InvalidSymbol(f"require p, q >= 2, got ({self.p}, {self.q})")
+        try:  # read as from_rows reads entries: a float is refused
+            ok = index(self.p) >= 2 and index(self.q) >= 2
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidSymbol(
+                f"require integers p, q >= 2, got ({self.p!r}, {self.q!r})"
+            )
 
     @property
     def r(self) -> int:

@@ -40,6 +40,10 @@ EXPECTED_TILING_NAMES = {
     (6, 3): ("hexagonal tiling", "G2(1)"),
 }
 
+# The trichotomy and spherical-integrality checks run over every symbol
+# {p,q} with 2 <= p, q <= SYMBOL_MAX.
+SYMBOL_MAX = 50
+
 # (V, E, F, group order) for representative spherical tilings.
 EXPECTED_SPHERICAL = {
     (3, 3): (4, 6, 4, 24),
@@ -227,11 +231,11 @@ def check_duality(rows):
     )
 
 
-def check_trichotomy(limit: int = 50):
-    """Integer r-test vs exact defect sign vs Gram signature, 2..limit."""
+def check_trichotomy():
+    """Integer r-test vs exact defect sign vs Gram signature, 2..SYMBOL_MAX."""
     bad = []
-    for p in range(2, limit + 1):
-        for q in range(2, limit + 1):
+    for p in range(2, SYMBOL_MAX + 1):
+        for q in range(2, SYMBOL_MAX + 1):
             sym = SchlafliSymbol(p, q)
             geom, _ = geometry_class(sym)
             sign = angular_defect_sign(sym)
@@ -247,11 +251,10 @@ def check_trichotomy(limit: int = 50):
                 bad.append(
                     f"{{{p},{q}}}: {geom.value}/{by_sign.value}/{by_gram.value}"
                 )
-    n = (limit - 1) ** 2
     return (
-        f"trichotomy: r-test, defect sign, Gram signature agree on 2..{limit}",
+        f"trichotomy: r-test, defect sign, Gram signature agree on 2..{SYMBOL_MAX}",
         not bad,
-        "; ".join(bad) or f"{n} symbols",
+        "; ".join(bad) or f"{(SYMBOL_MAX - 1) ** 2} symbols",
     )
 
 
@@ -265,8 +268,8 @@ def check_spherical_data():
     for q in range(2, 13):
         if spherical_data(SchlafliSymbol(2, q)) != (2, q, q, 4 * q):
             bad.append(f"{{2,{q}}}")
-    for p in range(2, 51):
-        for q in range(2, 51):
+    for p in range(2, SYMBOL_MAX + 1):
+        for q in range(2, SYMBOL_MAX + 1):
             sym = SchlafliSymbol(p, q)
             if sym.r < 4:
                 rep = tiling_report(sym)
@@ -295,6 +298,6 @@ def run_verification(
         check_main_claim(rows),
         check_summary_table(rows),
         check_duality(rows),
-        check_trichotomy(50),
+        check_trichotomy(),
         check_spherical_data(),
     ]

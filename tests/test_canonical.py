@@ -16,6 +16,7 @@ from quiver_atlas.canonical import (
     canonical_key,
     is_isomorphic,
 )
+from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
 from quiver_atlas.matrix import from_matrix
 
 from test_matrix import A3_PATH, MARKOV, random_quiver
@@ -194,6 +195,29 @@ def test_zero_matrix_keys_carry_n():
     )
     assert one.data != wide.data
     assert unpack_key(wide.data) == ((0,) * 256,) * 256
+
+
+def test_pack_wide_rank_escapes_only_the_numbers_that_need_it():
+    # n = 130 escapes in the header; -128 escapes too, and every other
+    # entry of the triangle stays one byte
+    n = 130
+    rows = [[0] * n for _ in range(n)]
+    for i, j, x in ((0, 1, -128), (5, 129, 3), (128, 129, 127)):
+        rows[i][j], rows[j][i] = x, -x
+    data = _pack(rows)
+    assert data[:9] == b"\x80" + n.to_bytes(8, "little")
+    assert len(data) == 9 + 9 + n * (n - 1) // 2 - 1
+    assert unpack_key(data) == tuple(map(tuple, rows))
+
+
+def test_rank_132_grid_key_pinned():
+    # the key of the (12,13) grid start, rank 132 >= 128, as packed when n
+    # still went through the escape together with the triangle
+    key = canonical_key(initial_quiver(GrassmannianSpec(12, 13)))
+    assert len(key.data) == 8655
+    assert hashlib.sha256(key.data).hexdigest() == (
+        "0ab0b666d98e9402d9ae0e50affdc30d50f9f510bc95cf982b0d60469f787e5b"
+    )
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from quiver_atlas.correspondence import classify_cell
 from quiver_atlas.explore import Classification
 from quiver_atlas.grassmannian import (
     GrassmannianSpec,
@@ -27,6 +28,12 @@ class TestSpec:
             GrassmannianSpec(1, 4)
         with pytest.raises(InvalidSpec):
             GrassmannianSpec(3, 1)
+        # p and q are read as integers: a float is refused, even a whole one
+        for p, q in ((3.0, 3), (3, 2.5), ("3", 3)):
+            with pytest.raises(InvalidSpec, match="require integers"):
+                GrassmannianSpec(p, q)
+        with pytest.raises(InvalidSpec):
+            classify_cell(3.0, 3)
 
     def test_dual(self):
         s = GrassmannianSpec(3, 5)

@@ -10,6 +10,7 @@ from quiver_atlas.matrix import (
     NotSkewSymmetric,
     ParseError,
     VertexOutOfRange,
+    _subquiver_rows,
     deserialize,
     from_matrix,
 )
@@ -132,6 +133,24 @@ def test_permuted_reads_an_iterator_once():
     m = from_matrix(A3_PATH)
     assert m.permuted(reversed(range(3))) == m.permuted([2, 1, 0])
     assert m.permuted([2, 1, 0]).rows == ((0, -1, 0), (1, 0, -1), (0, 1, 0))
+
+
+@pytest.mark.parametrize("kind", ["one", "subset", "all"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_subquiver_rows_match_dense_reference(n, kind):
+    # one vertex, a proper subset in random order, or every vertex in
+    # random order (a relabelling, as permuted uses it; n = 1 included)
+    rng = random.Random(f"{n}-{kind}")
+    m = random_quiver(rng, n)
+    size = {"one": 1, "subset": rng.randint(1, max(1, n - 1)), "all": n}[kind]
+    vertices = rng.sample(range(n), size)
+    want = tuple(tuple(m.rows[i][j] for j in vertices) for i in vertices)
+    assert _subquiver_rows(m.rows, vertices) == want
+    if kind == "all":
+        perm = [0] * n
+        for new, old in enumerate(vertices):
+            perm[old] = new
+        assert m.permuted(perm).rows == want
 
 
 def dense_mutation(rows, k):

@@ -28,6 +28,11 @@ def test_rejects_invalid_symbol():
         SchlafliSymbol(1, 3)
     with pytest.raises(InvalidSymbol):
         SchlafliSymbol(3, 0)
+    # p and q are read as integers: a float is refused, even a whole one
+    for p, q in ((3.0, 3), (3.5, 3), (3, "4"), (3, None)):
+        with pytest.raises(InvalidSymbol, match="require integers"):
+            SchlafliSymbol(p, q)
+    assert SchlafliSymbol(np.int64(3), 3).r == 1
 
 
 def test_geometry_class_examples():

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: classify one cell, reproduce the full table, dump an initial
-quiver, explore a mutation class (with on-disk caching), and run the full
-verification suite.
+quiver, and run the full verification suite.
 
 Exit codes for classify/table/verify: 0 on full agreement, 2 on a
 classification mismatch, 3 when any exploration was inconclusive.
@@ -10,7 +9,6 @@ classification mismatch, 3 when any exploration was inconclusive.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +18,7 @@ import click
 from . import __version__
 from .cache import default_cache_dir
 from .correspondence import classify_cell
-from .explore import DEFAULT_CAP, Classification, report_to_dict
+from .explore import DEFAULT_CAP, Classification
 from .grassmannian import GrassmannianSpec, initial_quiver
 from .render import render_rows
 from .verify import compute_grid, run_verification
@@ -145,19 +143,6 @@ def quiver(p, q, fmt):
         click.echo(m.serialize())
     else:
         click.echo(m.to_dot(), nl=False)
-
-
-@main.command("explore")
-@_cell_opts
-@_cap_opt
-@_cache_opts
-def explore_cmd(p, q, cap, cache_dir, no_cache):
-    """Enumerate the mutation class of the Gr(p, p+q) initial quiver."""
-    cache = _resolve_cache(cache_dir, no_cache)
-    report = classify_cell(p, q, cap=cap, cache_dir=cache).cluster
-    click.echo(json.dumps(report_to_dict(report), sort_keys=True, indent=1))
-    if report.classification is Classification.INCONCLUSIVE:
-        sys.exit(EXIT_INCONCLUSIVE)
 
 
 @main.command()

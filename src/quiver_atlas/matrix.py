@@ -190,7 +190,11 @@ class ExchangeMatrix:
         """
         perm = list(perm)  # an iterator is read once
         n = self.n
-        if sorted(perm) != list(range(n)):
+        try:  # read as from_rows reads entries: a float is refused
+            ok = sorted(map(index, perm)) == list(range(n))
+        except TypeError:
+            ok = False
+        if not ok:
             raise InvalidPermutation(f"{perm} is not a permutation of 0..{n - 1}")
         inv = [0] * n
         for old, new in enumerate(perm):

@@ -185,8 +185,15 @@ def test_rendered_grid7_pinned(grid7, fmt):
     assert digest == RENDERED_GRID7_SHA256[fmt]
 
 
-def test_explore_cache_round_trip(runner, tmp_path):
-    args = ["explore", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)]
+def _cluster(result):
+    """The mutation-class report of a one-cell ``classify --format json``."""
+    (row,) = json.loads(result.output)["rows"]
+    return row["cluster"]
+
+
+def test_classify_cache_round_trip(runner, tmp_path):
+    args = ["classify", "--p", "3", "--q", "3", "--format", "json",
+            "--cache-dir", str(tmp_path)]
     first = runner.invoke(main, args)
     assert first.exit_code == 0, first.output
     assert list(tmp_path.glob("*.json")), "cache file expected"
@@ -196,7 +203,8 @@ def test_explore_cache_round_trip(runner, tmp_path):
 
 
 def test_corrupt_cache_recomputes(runner, tmp_path):
-    args = ["explore", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)]
+    args = ["classify", "--p", "3", "--q", "3", "--format", "json",
+            "--cache-dir", str(tmp_path)]
     first = runner.invoke(main, args)
     for f in tmp_path.glob("*.json"):
         f.write_text("{ not json")
@@ -210,7 +218,8 @@ def test_corrupt_cache_recomputes(runner, tmp_path):
     [("class_size", 7), ("type_name", "E6"), ("explored", 5), ("max_weight_seen", 2)],
 )
 def test_tampered_cache_entry_recomputes(runner, tmp_path, field, value):
-    args = ["explore", "--p", "3", "--q", "3", "--cache-dir", str(tmp_path)]
+    args = ["classify", "--p", "3", "--q", "3", "--format", "json",
+            "--cache-dir", str(tmp_path)]
     first = runner.invoke(main, args)
     (path,) = tmp_path.glob("*.json")
     payload = json.loads(path.read_text())
@@ -231,24 +240,24 @@ def _has_heavy_component(m):
     )
 
 
-def test_explore_cache_flags_agree(runner, tmp_path):
-    base = ["explore", "--p", "5", "--q", "4"]
+def test_classify_cache_flags_agree(runner, tmp_path):
+    base = ["classify", "--p", "5", "--q", "4", "--format", "json"]
     uncached = runner.invoke(main, base + ["--no-cache"])
     cold = runner.invoke(main, base + ["--cache-dir", str(tmp_path)])
     warm = runner.invoke(main, base + ["--cache-dir", str(tmp_path)])
     assert uncached.exit_code == 0, uncached.output
     assert uncached.output == cold.output == warm.output
-    witness = json.loads(uncached.output)["infinite_witness"]
+    witness = _cluster(uncached)["infinite_witness"]
     start = initial_quiver(GrassmannianSpec(5, 4))
     assert _has_heavy_component(replay(start, witness))
 
 
-def test_explore_red_cell_has_witness(runner):
+def test_classify_red_cell_has_witness(runner):
     result = runner.invoke(
-        main, ["explore", "--p", "5", "--q", "4", "--no-cache"]
+        main, ["classify", "--p", "5", "--q", "4", "--format", "json", "--no-cache"]
     )
     assert result.exit_code == 0
-    report = json.loads(result.output)
+    report = _cluster(result)
     assert report["classification"] == "infinite-mutation"
     assert report["infinite_witness"]
 
@@ -275,7 +284,9 @@ def test_workers_default_is_cpus_this_process_may_use(runner, monkeypatch):
 
 def test_cache_env_var(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("ATLAS_CACHE", str(tmp_path / "envcache"))
-    result = runner.invoke(main, ["explore", "--p", "2", "--q", "3"])
+    result = runner.invoke(
+        main, ["classify", "--p", "2", "--q", "3", "--format", "json"]
+    )
     assert result.exit_code == 0
     assert list((tmp_path / "envcache").glob("*.json"))
 
@@ -293,3 +304,14 @@ def test_planar_cell_inconclusive_at_small_cap(runner, command):
     )
     assert result.exit_code == 3, result.output
     assert "\n4,4,4,inconclusive," in result.output
+
+
+def test_readme_names_exactly_the_cli_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named, fenced = set(), False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("atlas "):
+            named.add(line.split()[1])
+    assert named == set(main.commands)

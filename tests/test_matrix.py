@@ -119,14 +119,28 @@ class TestMutation:
 
 @pytest.mark.parametrize(
     "perm",
-    [[0, 0, 1], [1, 0], [0, 1, 2, 3], [0, 1, 5], [0, -1, 2]],
-    ids=["duplicate", "short", "long", "out-of-range", "negative"],
+    [
+        [0, 0, 1], [1, 0], [0, 1, 2, 3], [0, 1, 5], [0, -1, 2],
+        [1.0, 0.0, 2.0], (1.0, 0, 2), ("1", 0, 2), [None, 0, 1],
+    ],
+    ids=[
+        "duplicate", "short", "long", "out-of-range", "negative",
+        "floats", "one-float", "string", "none",
+    ],
 )
 def test_permuted_rejects_non_permutation(perm):
     m = from_matrix(A3_PATH)
     with pytest.raises(InvalidPermutation) as err:
         m.permuted(perm)
     assert isinstance(err.value, ValueError)
+    assert str(list(perm)) in str(err.value)
+    with pytest.raises(InvalidPermutation):  # and as an iterator
+        m.permuted(iter(perm))
+
+
+def test_permuted_accepts_bools_as_from_rows_does():
+    m = from_matrix(A3_PATH)
+    assert m.permuted([True, False, 2]) == m.permuted([1, 0, 2])
 
 
 def test_permuted_reads_an_iterator_once():

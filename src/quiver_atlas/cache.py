@@ -17,7 +17,10 @@ keys of disconnected quivers (canonicalised component by component).
 
 :func:`explore_classes` is the one way to a report through the cache: one
 call is one run, which explores each distinct class of its starts at most
-once.  No memo outlives a call.
+once.  No memo of this module outlives a call.  The one memo that does is
+the witness probe's beam-search memo in :mod:`quiver_atlas.explore`, kept
+for the process; it holds witnesses, never reports, and every witness it
+gives is replayed from the start before a report is built.
 """
 
 from __future__ import annotations

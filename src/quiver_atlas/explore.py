@@ -51,10 +51,13 @@ never holds more than one level's children.
 
 A probe miss is never a wrong answer, but it costs time.  On a
 mutation-finite quiver of more than PROBE_BALL vertices the probe tries up
-to one ball per vertex before the closure starts, less the balls whose
-subquiver equals, row for row, one already tried: on the grid starts of A20
-and A30 the same 7116 quivers, about 0.2 s on 2 vCPUs.  Such a closure
-exceeds the default cap anyway.
+to one ball per vertex before the closure starts.  The beam search is
+memoised for the process on the ball's subquiver rows (at most PROBE_MEMO
+of them), so a ball whose subquiver equals, row for row, one searched
+before, in this explore or an earlier one, costs no search: the grid
+starts of A20 and A30 search the same two balls, 7116 quivers and about
+0.13 s on 2 vCPUs for the first of them and none for the second.  The memo
+holds witnesses, never reports, and every witness is replayed as below.
 
 Every witness the probe or the closure finds is checked independently, by
 replaying it from the start and scanning the end with
@@ -77,7 +80,7 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain, compress
 from operator import mul
 
@@ -145,6 +148,10 @@ def replay(start: ExchangeMatrix, witness) -> ExchangeMatrix:
 
 PROBE_BEAM = 4
 PROBE_BALL = 12
+# Distinct ball subquivers the beam-search memo keeps.  A 2..30 grid table
+# at cap 1000 searches 36 distinct ones and `atlas verify` on 2..12 34; a
+# 12-vertex key takes about 2 KB, so a full memo holds about 0.5 MB.
+PROBE_MEMO = 256
 
 
 def _large_component_vertices(n: int, components) -> list[bool]:
@@ -171,12 +178,17 @@ def _ball(m: ExchangeMatrix, v: int) -> list[int]:
     return ball
 
 
+@lru_cache(maxsize=PROBE_MEMO)
 def _beam_search(start: ExchangeMatrix) -> tuple[int, ...] | None:
     """Beam search over mutation sequences of ``start`` for an edge of
     weight >= 3, scored by (max weight, sum of squared entries); both grow
     along mutation-infinite directions.  ``start`` is a ball's subquiver,
     connected on >= 3 vertices as are its mutations, so such an edge is a
-    heavy component.  Returns the witness, or None."""
+    heavy component.  Returns the witness, or None.
+
+    The search depends only on ``start``'s rows, which hash the frozen
+    matrix, so its result is memoised for the process: grid quivers of
+    many cells share their balls' subquivers."""
     beam = [(start, ())]
     seen = {start.rows}
     for _ in range(8 * start.n):
@@ -205,24 +217,22 @@ def _witness_probe(start: ExchangeMatrix) -> tuple[int, ...] | None:
     ``start`` has no heavy component.  Runs :func:`_beam_search` on the full
     subquiver of the ball (:func:`_ball`) of each vertex, in index order,
     skipping balls of fewer than 3 vertices (a ball has at least 3 exactly
-    when its vertex lies in a component of at least 3), balls already
-    probed and balls whose subquiver rows equal those of one already
+    when its vertex lies in a component of at least 3) and balls already
     probed, and maps the first witness back to ``start``'s labels (it
     mutates the ball's block of ``start`` as it mutated the subquiver).
+    A ball whose subquiver rows equal those of one searched before, in
+    this call or an earlier one, is answered by the search's memo.
     Returns None when no ball gives a witness, which is expected for
     mutation-finite classes.
     """
-    balls, subquivers = set(), set()
+    balls = set()
     for v in range(start.n):
         ball = _ball(start, v)
         if len(ball) < 3 or frozenset(ball) in balls:
             continue
         balls.add(frozenset(ball))
-        sub = _subquiver_rows(start.rows, ball)
-        if sub in subquivers:
-            continue  # _beam_search depends only on the rows: the same miss
-        subquivers.add(sub)
-        witness = _beam_search(ExchangeMatrix(sub))
+        sub = ExchangeMatrix(_subquiver_rows(start.rows, ball))
+        witness = _beam_search(sub)
         if witness is not None:
             return tuple(ball[k] for k in witness)
     return None

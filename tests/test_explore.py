@@ -1,13 +1,13 @@
 import importlib
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 
-from quiver_atlas.canonical import canonical_key
+from quiver_atlas.canonical import canonical_form, canonical_key
 from quiver_atlas.correspondence import (
     UNNAMED_FINITE_MUTATION,
     name_finite_mutation_type,
@@ -732,17 +732,17 @@ def test_probe_matches_dense_reference_on_misses():
 def test_probe_skips_repeated_subquivers():
     # the balls of a grid path that lie away from its ends have equal
     # subquiver rows, so A20 and A30 each beam-search two balls: every other
-    # ball repeats the vertex set or the rows of one already probed
-    explore_module = importlib.import_module("quiver_atlas.explore")
-    counts = []
-    for q in (21, 31):
-        start = initial_quiver(GrassmannianSpec(2, q))
-        with mock.patch.object(
-            explore_module, "_beam_search", wraps=explore_module._beam_search
-        ) as beam_search:
+    # ball repeats the vertex set of one already probed or is a memo hit;
+    # A30's two balls are A20's, so after A20 it runs no search at all
+    beam_search = importlib.import_module("quiver_atlas.explore")._beam_search
+    a20, a30 = (initial_quiver(GrassmannianSpec(2, q)) for q in (21, 31))
+    searches = []
+    for runs in ([a20], [a30], [a20, a30]):
+        beam_search.cache_clear()
+        for start in runs:
             assert _witness_probe(start) is None
-        counts.append(beam_search.call_count)
-    assert counts == [2, 2]
+            searches.append(beam_search.cache_info().misses)
+    assert searches == [2, 2, 2, 2]
 
 
 def _hidden_triangle(a=2, b=2, c=2):
@@ -786,6 +786,8 @@ def test_explore_matches_dense_reference_bfs_witness(weights, monkeypatch):
 def test_witness_checked_by_full_scan(monkeypatch):
     explore_module = importlib.import_module("quiver_atlas.explore")
     full_scan = explore_module._has_heavy_component
+    start = initial_quiver(GrassmannianSpec(3, 8))
+    assert explore(start).infinite_witness is not None  # warms the memo
     # a full scan that sees no heavy component in a quiver of more than 12
     # vertices passes the probe's subquivers but rejects the replayed witness
     monkeypatch.setattr(
@@ -793,8 +795,14 @@ def test_witness_checked_by_full_scan(monkeypatch):
         "_has_heavy_component",
         lambda m: m.n <= 12 and full_scan(m),
     )
+    # a memo hit gives the witness without a search and is still replayed
+    hits = explore_module._beam_search.cache_info().hits
     with pytest.raises(WitnessCheckFailed):
-        explore(initial_quiver(GrassmannianSpec(3, 8)))
+        explore(start)
+    assert explore_module._beam_search.cache_info().hits > hits
+    explore_module._beam_search.cache_clear()
+    with pytest.raises(WitnessCheckFailed):
+        explore(start)
     _probe_misses(monkeypatch)
     with pytest.raises(WitnessCheckFailed):
         explore(_hidden_triangle())
@@ -857,3 +865,52 @@ def test_probe_finds_witness_on_large_cells(p, q, relabelled):
         random.Random(612).shuffle(perm)
         start = start.permuted(perm)
     _assert_dense_witness(start)
+
+
+def _memo_independence_starts():
+    rng = random.Random(2700)
+    starts = []
+    for p, q in RED_CELLS:
+        start = initial_quiver(GrassmannianSpec(p, q))
+        starts += [start, start.permuted(canonical_form(start)[1])]
+    for _ in range(10):
+        start = initial_quiver(GrassmannianSpec(*rng.choice(MID_RANK_RED_CELLS)))
+        starts.append(relabel(rng, start))
+    # at cap 1 the probe misses on these, and the closure stops at the cap
+    # unless the class has one member (A1 at (2,2), A2 at (2,3) and (3,2))
+    starts += [
+        initial_quiver(GrassmannianSpec(p, q))
+        for p in range(2, 14)
+        for q in range(2, 14)
+        if (p - 1) * (q - 1) <= 12
+        and expected_classification(GrassmannianSpec(p, q))
+        is not Classification.INFINITE_MUTATION_TYPE
+    ]
+    return starts
+
+
+def test_report_does_not_depend_on_probe_memo():
+    # the probe's beam-search memo lives for the process: explore each start
+    # with it cleared, then warm in one order and in the other
+    beam_search = importlib.import_module("quiver_atlas.explore")._beam_search
+    starts = _memo_independence_starts()
+
+    def outcome(start):
+        report = explore(start, cap=1)
+        return report_to_dict(report), report.member_keys
+
+    cold = []
+    for start in starts:
+        beam_search.cache_clear()
+        cold.append(outcome(start))
+    beam_search.cache_clear()
+    forward = [outcome(start) for start in starts]
+    backward = [outcome(start) for start in reversed(starts)]
+    assert forward == cold
+    assert backward[::-1] == cold
+    classes = Counter(out["classification"] for out, _ in cold)
+    assert classes == {
+        "infinite-mutation": 2 * len(RED_CELLS) + 10,
+        "inconclusive": 28,
+        "finite": 3,
+    }

@@ -15,13 +15,15 @@ each ball of up to PROBE_BALL vertices (:func:`_witness_probe`).  Both
 searches rest on invariants of Fomin-Zelevinsky mutation at k:
 
 * connected components never change (mu_k keeps k joined to each of its
-  neighbours), so the start's components are every member's: each member
-  is canonicalised component by component from them, "lies in a component
-  of >= 3 vertices" is read off them, and a quiver is heavy iff a row of
-  such a vertex has an entry >= 3 (skew-symmetry puts every |b_ij| >= 3 in
-  row i or row j, and i and j share a component);
+  neighbours), so the start's components are every member's, and each
+  member is canonicalised component by component from them.  "Lies in a
+  component of >= 3 vertices" is read off the rows instead: skew-symmetry
+  puts every |b_ij| >= 3 in some row i as b_ij >= 3, and the component of
+  i and j has a third vertex iff row i or row j has a second nonzero entry
+  (:func:`_has_heavy_component`);
 * only the rows of k's neighbours change (row k merely changes sign), so
-  the largest weight seen, and the closure's heavy test, read those rows;
+  the largest weight seen reads those rows, and the closure scans a child
+  for a heavy component only when they hold an entry >= 3;
 * mutation commutes with restriction: for k in a vertex set S, the S-block
   of the mutated quiver is the full subquiver on S mutated at k, so a
   probe witness found on a subquiver is a witness for the whole quiver.
@@ -77,6 +79,7 @@ contract that produced it.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -135,10 +138,17 @@ def _has_heavy_component(m: ExchangeMatrix) -> bool:
     """True iff some |b_ij| >= 3 lies in a connected component of size >= 3.
 
     The weight criterion for infinite mutation type is false at rank 2, so
-    heavy edges in 2-vertex components are ignored.
+    heavy edges in 2-vertex components are ignored.  The rows decide it:
+    skew-symmetry puts each heavy pair in some row i as b_ij >= 3, and the
+    component of i and j has a third vertex iff row i or row j has a
+    second nonzero entry.
     """
-    rows = compress(m.rows, _large_component_vertices(m.n, m.components()))
-    return max(map(max, rows), default=0) >= 3
+    rows, n = m.rows, m.n
+    for row in rows:
+        w = max(row)  # when alone in row i, w = b_ij for j = row.index(w)
+        if w >= 3 and (row.count(0) < n - 1 or rows[row.index(w)].count(0) < n - 1):
+            return True
+    return False
 
 
 def replay(start: ExchangeMatrix, witness) -> ExchangeMatrix:
@@ -152,17 +162,6 @@ PROBE_BALL = 12
 # at cap 1000 searches 36 distinct ones and `atlas verify` on 2..12 34; a
 # 12-vertex key takes about 2 KB, so a full memo holds about 0.5 MB.
 PROBE_MEMO = 256
-
-
-def _large_component_vertices(n: int, components) -> list[bool]:
-    """Flags v in a connected component of >= 3 vertices (mutation-invariant),
-    given the components of a quiver on n vertices."""
-    large = [False] * n
-    for comp in components:
-        if len(comp) >= 3:
-            for v in comp:
-                large[v] = True
-    return large
 
 
 def _ball(m: ExchangeMatrix, v: int) -> list[int]:
@@ -370,7 +369,6 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
         return _infinite(max_w, witness, 1)
     n = start.n
     components = start.components()  # every member's, too
-    large = _large_component_vertices(n, components)
     key, perm = _canonical_form(start, components)
     key = key.hex()
     seen = {key: 0}  # key -> bits of canonical vertices leading to seen keys
@@ -391,7 +389,7 @@ def explore(start: ExchangeMatrix, cap: int = DEFAULT_CAP) -> MutationClassRepor
             w = max(map(max, compress(crows, m.rows[k])), default=0)
             if w > max_w:
                 max_w = w
-            if w >= 3 and large[k]:
+            if w >= 3 and _has_heavy_component(child):
                 witness = seq + (k,)
                 _checked_replay(start, witness)
                 return _infinite(max_w, witness, len(seen))
@@ -427,6 +425,11 @@ def report_to_dict(report: MutationClassReport) -> dict:
     }
 
 
+def _is_int_in(x, low, high=math.inf) -> bool:
+    """x is an int, not a bool, with low <= x <= high."""
+    return type(x) is int and low <= x <= high
+
+
 def rebuild_report(n: int, data: dict, member_keys) -> MutationClassReport:
     """The report of rank n that ``data``, a :func:`report_to_dict` dict,
     and ``member_keys`` (None unless the class was enumerated) stand for.
@@ -434,20 +437,25 @@ def rebuild_report(n: int, data: dict, member_keys) -> MutationClassReport:
     The report is rebuilt as :func:`explore` builds it, so a fully
     enumerated class gets its classification, size, fingerprint and name
     from its member keys and largest weight.  Raises ValueError unless
-    the rebuilt report gives back ``data``, and for an infinite-type report
-    whose witness names a vertex outside 0..n-1 or whose largest weight is
-    below 3 (the witness is not replayed).
+    the rebuilt report gives back ``data`` and its numbers are plain ints
+    (no bools, no floats that compare equal): ``explored`` >= 1,
+    ``max_weight_seen`` >= 0, or >= 3 with a witness, and witness entries
+    in 0..n-1 (the witness is not replayed).
     """
-    max_w = data["max_weight_seen"]
+    max_w, explored = data["max_weight_seen"], data["explored"]
+    witness = data["infinite_witness"]
+    if not (
+        _is_int_in(explored, 1)
+        and _is_int_in(max_w, 0 if witness is None else 3)
+        and all(_is_int_in(v, 0, n - 1) for v in witness or ())
+    ):
+        raise ValueError("stored report has a field of the wrong type or range")
     if member_keys is not None:
         report = _enumerated(n, member_keys, max_w)
-    elif data["infinite_witness"] is not None:
-        witness = tuple(data["infinite_witness"])
-        if max_w < 3 or not all(0 <= v < n for v in witness):
-            raise ValueError("stored infinite-type report is malformed")
-        report = _infinite(max_w, witness, data["explored"])
+    elif witness is not None:
+        report = _infinite(max_w, tuple(witness), explored)
     else:
-        report = _inconclusive(max_w, data["explored"])
+        report = _inconclusive(max_w, explored)
     if report_to_dict(report) != data:
         raise ValueError("stored report does not rebuild to itself")
     return report

@@ -273,29 +273,83 @@ def test_malformed_member_keys_recompute(tmp_path, caplog):
     assert load_report(tmp_path, key, DEFAULT_CAP) == report
 
 
-@pytest.mark.parametrize(
-    "witness,max_weight",
-    [([999], None), ([0, 1], 1)],
-    ids=["vertex-out-of-range", "weight-below-3"],
-)
-def test_tampered_infinite_entry_recomputes(tmp_path, caplog, witness, max_weight):
-    start = initial_quiver(GrassmannianSpec(4, 5))
+def _assert_tampered_entry_recomputes(tmp_path, caplog, p, q, cap, tamper):
+    """Store the report of the (p, q) grid quiver at ``cap``, tamper with
+    its stored fields, and require that the entry is corrupt, that one run
+    warns once and recomputes it, and that the rewritten entry loads."""
+    start = initial_quiver(GrassmannianSpec(p, q))
     key = canonical_key(start)
-    [report] = explore_classes([start], cache_dir=tmp_path)
-    assert report.classification is Classification.INFINITE_MUTATION_TYPE
-    stored = load_report(tmp_path, key, DEFAULT_CAP)  # in canonical labels
+    [report] = explore_classes([start], cap, cache_dir=tmp_path)
+    stored = load_report(tmp_path, key, cap)  # in canonical labels
     path = cache_path(tmp_path, key)
     payload = json.loads(path.read_text())
-    payload["report"]["infinite_witness"] = witness
-    if max_weight is not None:
-        payload["report"]["max_weight_seen"] = max_weight
+    for field, value in tamper.items():
+        old = payload["report"][field]
+        payload["report"][field] = value(old) if callable(value) else value
     path.write_text(json.dumps(payload))
     with pytest.raises(CacheCorrupt):
-        load_report(tmp_path, key, DEFAULT_CAP)
+        load_report(tmp_path, key, cap)
     with caplog.at_level(logging.WARNING, logger=cache_mod.__name__):
-        assert explore_classes([start], cache_dir=tmp_path) == [report]
+        assert explore_classes([start], cap, cache_dir=tmp_path) == [report]
     assert len(caplog.records) == 1
-    assert load_report(tmp_path, key, DEFAULT_CAP) == stored
+    assert load_report(tmp_path, key, cap) == stored
+    rewritten = json.loads(path.read_text())["report"]  # 1.0 dumps as "1.0"
+    assert json.dumps(rewritten, sort_keys=True) == json.dumps(
+        report_to_dict(stored), sort_keys=True
+    )
+    return report
+
+
+def _floats(witness):
+    return [float(v) for v in witness]
+
+
+@pytest.mark.parametrize(
+    "p,q,tamper",
+    [
+        (4, 5, {"infinite_witness": [999]}),
+        (4, 5, {"infinite_witness": [0, 1], "max_weight_seen": 1}),
+        (5, 4, {"infinite_witness": _floats}),
+        (5, 4, {"max_weight_seen": 3.5}),
+        (5, 4, {"explored": True}),
+        (5, 4, {"explored": 0}),
+    ],
+    ids=[
+        "vertex-out-of-range",
+        "weight-below-3",
+        "witness-floats",
+        "weight-float",
+        "explored-bool",
+        "explored-zero",
+    ],
+)
+def test_tampered_infinite_entry_recomputes(tmp_path, caplog, p, q, tamper):
+    report = _assert_tampered_entry_recomputes(
+        tmp_path, caplog, p, q, DEFAULT_CAP, tamper
+    )
+    assert report.classification is Classification.INFINITE_MUTATION_TYPE
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [{"max_weight_seen": 1.0}, {"max_weight_seen": True}, {"explored": 6.0}],
+    ids=["weight-float", "weight-bool", "explored-float"],
+)
+def test_tampered_decided_entry_recomputes(tmp_path, caplog, tamper):
+    report = _assert_tampered_entry_recomputes(
+        tmp_path, caplog, 3, 3, DEFAULT_CAP, tamper
+    )
+    assert report.classification is Classification.FINITE_TYPE
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [{"explored": 100.0}, {"max_weight_seen": -4}, {"max_weight_seen": "1"}],
+    ids=["explored-float", "weight-negative", "weight-string"],
+)
+def test_tampered_inconclusive_entry_recomputes(tmp_path, caplog, tamper):
+    report = _assert_tampered_entry_recomputes(tmp_path, caplog, 3, 5, 100, tamper)
+    assert report.classification is Classification.INCONCLUSIVE
 
 
 def test_disconnected_finite_class_through_cache(tmp_path, caplog, explored):

@@ -700,6 +700,23 @@ def test_explore_matches_dense_reference_random_probe_missing(chunk, monkeypatch
 
 
 def test_heavy_component_matches_dense_reference():
+    # the predicate reads rows: an entry b_ij >= 3 counts when row i or
+    # row j has a second nonzero entry
+    pair, pendant, isolated = [[0, 3], [-3, 0]], [0, -1], [0, 0]
+    cases = [
+        ([[0]], False),
+        ([[0] * 3] * 3, False),
+        (pair, False),  # a heavy rank-2 component
+        ([row + [0] for row in pair] + [isolated + [0]], False),
+        # a pendant vertex 2 on vertex 1: b_01 = 3 sits in the degree-1 row
+        # 0, and b_10 = 3 in the degree-2 row 1
+        ([[0, 3, 0], [-3, 0, 1], pendant + [0]], True),
+        ([[0, -3, 0], [3, 0, 1], pendant + [0]], True),
+    ]
+    for rows, heavy in cases:
+        m = from_matrix(rows)
+        assert _has_heavy_component(m) is heavy
+        assert _dense_heavy(m.rows) is heavy
     rng = random.Random(1300)
     kinds = set()
     for _ in range(320):
@@ -707,9 +724,21 @@ def test_heavy_component_matches_dense_reference():
         for m in [start] + [start.mutate(k) for k in range(start.n)]:
             heavy = _has_heavy_component(m)
             assert heavy == _dense_heavy(m.rows)
-            kinds.add((heavy, m.max_weight() >= 3))
-    # including heavy edges that lie only in rank-2 components
-    assert kinds == {(False, False), (False, True), (True, True)}
+            degree = [m.n - row.count(0) for row in m.rows]
+            leaf = any(
+                row[j] >= 3 and degree[i] == 1 and degree[j] >= 2
+                for i, row in enumerate(m.rows)
+                for j in range(m.n)
+            )
+            kinds.add((heavy, m.max_weight() >= 3, leaf))
+    # including heavy edges that lie only in rank-2 components, and heavy
+    # pairs whose entry >= 3 stands in a row with no other nonzero entry
+    assert kinds == {
+        (False, False, False),
+        (False, True, False),
+        (True, True, False),
+        (True, True, True),
+    }
 
 
 def test_probe_matches_dense_reference_on_misses():
@@ -803,9 +832,22 @@ def test_witness_checked_by_full_scan(monkeypatch):
     explore_module._beam_search.cache_clear()
     with pytest.raises(WitnessCheckFailed):
         explore(start)
+    # the closure asks the same scan of its heavy child: a scan that sees a
+    # heavy component only the first time it is asked about given rows
+    # accepts the closure's child mu_16 and rejects the equal quiver that
+    # the replay rebuilds from the start
+    asked = set()
+
+    def first_ask_only(m):
+        first = m.rows not in asked
+        asked.add(m.rows)
+        return first and full_scan(m)
+
+    monkeypatch.setattr(explore_module, "_has_heavy_component", first_ask_only)
     _probe_misses(monkeypatch)
     with pytest.raises(WitnessCheckFailed):
         explore(_hidden_triangle())
+    assert _hidden_triangle().mutate(16).rows in asked
 
 
 RED_CELLS = [

@@ -152,11 +152,15 @@ def _twin_swaps(rows, n):
     return swaps
 
 
-def _canonical_rows(rows, n):
-    """Return (rows, permutation old->new) of the canonical form of a
-    connected quiver on n >= 2 vertices.
+def _canonical_rows(rows):
+    """Return (rows, permutation old->new) of the canonical form of the
+    connected quiver with these rows.  One vertex is its own canonical
+    form, with the permutation (0,).
 
     Leaves are tuples of row tuples (see the module docstring)."""
+    n = len(rows)
+    if n == 1:
+        return rows, (0,)
     best_rows = None
     best_perm = None
     best_inv = None
@@ -247,17 +251,6 @@ def _pack(rows) -> bytes:
     return _packed_number(len(rows)) + data
 
 
-def _component_form(rows, comp):
-    """(rows, permutation) of the canonical form of the full subquiver on
-    the connected vertex set ``comp``, the permutation indexed like comp."""
-    size = len(comp)
-    if size == 1:
-        return ((0,),), (0,)
-    if size < len(rows):
-        rows = _subquiver_rows(rows, comp)
-    return _canonical_rows(rows, size)
-
-
 def _canonical_form(
     m: ExchangeMatrix, components
 ) -> tuple[QuiverKey, tuple[int, ...]]:
@@ -268,11 +261,11 @@ def _canonical_form(
     to every member."""
     n = m.n
     if len(components) == 1:
-        rows, perm = _component_form(m.rows, range(n))
+        rows, perm = _canonical_rows(m.rows)
         return QuiverKey(_pack(rows), n), perm
     blocks = []
     for comp in components:
-        rows, perm = _component_form(m.rows, comp)
+        rows, perm = _canonical_rows(_subquiver_rows(m.rows, comp))
         blocks.append((_pack(rows), comp, perm))
     blocks.sort(key=itemgetter(0))  # stable: equal blocks keep vertex order
     perm = [0] * n
@@ -299,6 +292,4 @@ def canonical_key(m: ExchangeMatrix) -> QuiverKey:
 
 def is_isomorphic(m1: ExchangeMatrix, m2: ExchangeMatrix) -> bool:
     """True iff some vertex permutation maps m1 onto m2."""
-    if m1.n != m2.n:
-        return False
-    return canonical_key(m1).data == canonical_key(m2).data
+    return canonical_key(m1) == canonical_key(m2)

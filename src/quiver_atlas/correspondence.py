@@ -44,12 +44,6 @@ class CorrespondenceRow:
     match: bool
 
 
-def categories_match(
-    classification: Classification, geometry: GeometryClass
-) -> bool:
-    return CATEGORY_MAP.get(classification) is geometry
-
-
 @cache
 def _anchor_names() -> dict[str, str]:
     return {
@@ -86,7 +80,7 @@ def correspondence_row(
         r=GrassmannianSpec(p, q).r,
         cluster=cluster,
         tiling=tiling,
-        match=categories_match(cluster.classification, tiling.geometry),
+        match=CATEGORY_MAP.get(cluster.classification) is tiling.geometry,
     )
 
 

@@ -80,7 +80,10 @@ class ExchangeMatrix:
 
         Entries are read with ``operator.index``: numpy integers pass,
         floats and strings raise ParseError, as does a row that is not
-        iterable."""
+        iterable.  Then one pass over the rows checks their lengths, and
+        over the pairs i <= j the skew-symmetry and the 64-bit range: it
+        raises on the first fault, naming it, and returns the matrix when
+        there is none."""
         rows = []  # each iterator is read once
         try:
             for row in entries:
@@ -102,16 +105,6 @@ class ExchangeMatrix:
         n = len(rows)
         if n == 0:
             raise EmptyMatrix("exchange matrix must have at least one vertex")
-        # Fast path at C speed: B = -B^T (which also zeroes the diagonal)
-        # and every entry in range (the smallest entry is then minus the
-        # largest).  Anything else goes through the loop below, which
-        # decides and names the first fault.
-        if (
-            all(len(row) == n for row in rows)
-            and rows == tuple(tuple(map(neg, col)) for col in zip(*rows))
-            and max(map(max, rows)) <= INT64_MAX
-        ):
-            return cls(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise NotSkewSymmetric(

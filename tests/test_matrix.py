@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from quiver_atlas.grassmannian import GrassmannianSpec, initial_quiver
 from quiver_atlas.matrix import (
+    INT64_MAX,
     ArithmeticOverflow,
     EmptyMatrix,
     ExchangeMatrix,
@@ -315,6 +317,26 @@ def test_from_rows_errors_keep_class_and_message(rows, error, message):
         from_matrix(rows)
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+GRID_12_12 = initial_quiver(GrassmannianSpec(12, 12))
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        ([[0]], ((0,),)),
+        ([[0, INT64_MAX], [-INT64_MAX, 0]], ((0, INT64_MAX), (-INT64_MAX, 0))),
+        ([[0, -INT64_MAX], [INT64_MAX, 0]], ((0, -INT64_MAX), (INT64_MAX, 0))),
+        (MARKOV, ((0, 2, -2), (-2, 0, 2), (2, -2, 0))),
+        ([list(row) for row in GRID_12_12.rows], GRID_12_12.rows),
+    ],
+    ids=["rank-1", "int64-max", "int64-max-transposed", "weight-2", "grid-12-12"],
+)
+def test_from_rows_accepts_valid_input(rows, expected):
+    m = ExchangeMatrix.from_rows(rows)
+    assert type(m) is ExchangeMatrix
+    assert m.rows == expected
 
 
 def test_from_rows_accepts_numpy_integers():
